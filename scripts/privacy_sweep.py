@@ -10,11 +10,10 @@ Example:
 """
 
 import argparse
-import itertools
 import sys
 
 from ppir.audit import MUTANT_SERVERS, audit_exact, exact_audit_work
-from ppir.harness import auto_field_size
+from ppir.harness import grid_instances
 from ppir.model import InstanceParams, build_layout, random_store
 
 
@@ -27,26 +26,18 @@ def main():
     args = parser.parse_args()
 
     failures = 0
-    sizes = range(1, args.max_class_size + 1)
-    for gamma in args.num_classes:
-        pairs = [(mu, k) for mu in sizes for k in range(mu)]
-        for combo in itertools.combinations_with_replacement(pairs, gamma):
-            class_sizes = tuple(mu for mu, _ in combo)
-            side_counts = tuple(k for _, k in combo)
-            q = auto_field_size(class_sizes, side_counts)
-            params = InstanceParams(class_sizes, side_counts, q=q)
-            layout = build_layout(params, args.seed)
-            work = exact_audit_work(layout)
-            if work > args.cap:
-                print(f"{class_sizes}/{side_counts}: skipped (work {work})")
-                continue
-            verdict = audit_exact(random_store(layout, args.seed + 1), cap=args.cap)
-            if not verdict.passed:
-                failures += 1
-            print(
-                f"{class_sizes}/{side_counts}: {verdict.verdict} "
-                f"tv={verdict.answer_tv_distance} work={work}"
-            )
+    grid = {"num_classes": args.num_classes, "max_class_size": args.max_class_size}
+    for params in grid_instances(grid, (1,), 1):
+        shape = f"{params.class_sizes}/{params.side_counts}"
+        layout = build_layout(params, args.seed)
+        work = exact_audit_work(layout)
+        if work > args.cap:
+            print(f"{shape}: skipped (work {work})")
+            continue
+        verdict = audit_exact(random_store(layout, args.seed + 1), cap=args.cap)
+        if not verdict.passed:
+            failures += 1
+        print(f"{shape}: {verdict.verdict} tv={verdict.answer_tv_distance} work={work}")
 
     params = InstanceParams((4, 2), (0, 1), q=3)
     store = random_store(build_layout(params, args.seed + 2), args.seed + 3)

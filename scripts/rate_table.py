@@ -7,9 +7,9 @@ Example:
 
 import argparse
 import csv
-import itertools
 import sys
 
+from ppir.harness import grid_instances
 from ppir.rates import rate_report
 
 
@@ -32,13 +32,9 @@ def main():
         lineterminator="\n",
     )
     writer.writeheader()
-    sizes = range(1, args.max_class_size + 1)
-    for gamma in args.num_classes:
-        pairs = [(mu, k) for mu in sizes for k in range(mu)]
-        for combo in itertools.combinations_with_replacement(pairs, gamma):
-            class_sizes = tuple(mu for mu, _ in combo)
-            side_counts = tuple(k for _, k in combo)
-            writer.writerow(rate_report(class_sizes, side_counts).csv_row())
+    grid = {"num_classes": args.num_classes, "max_class_size": args.max_class_size}
+    for params in grid_instances(grid, (1,), 1):
+        writer.writerow(rate_report(params.class_sizes, params.side_counts).csv_row())
 
 
 if __name__ == "__main__":

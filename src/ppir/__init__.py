@@ -8,7 +8,7 @@ the converse constructively on small instances, and privacy audits.
 """
 
 from .errors import PpirError
-from .fields import FieldElement, FiniteField, make_field
+from .fields import FiniteField, make_field
 from .mds import SystematicMdsCode, make_mds
 from .model import (
     DatabaseLayout,
@@ -34,10 +34,7 @@ from .protocol import (
     fsi_answer,
     fsi_decode,
     fsi_query,
-    musi_answer,
-    musi_decode,
     usi_answer,
-    usi_decode,
     usi_query,
 )
 from .rates import (
@@ -80,7 +77,6 @@ __all__ = [
     "ClassPayload",
     "DatabaseLayout",
     "EncodingMatrix",
-    "FieldElement",
     "FiniteField",
     "InstanceParams",
     "JointPayload",
@@ -118,8 +114,6 @@ __all__ = [
     "min_code_length_bruteforce",
     "msi_rate_bounds",
     "multi_rate",
-    "musi_answer",
-    "musi_decode",
     "positional_side_info",
     "random_store",
     "rank_lower_bound_certificate",
@@ -128,6 +122,5 @@ __all__ = [
     "sample_side_info",
     "usi_answer",
     "usi_capacity",
-    "usi_decode",
     "usi_query",
 ]

@@ -9,10 +9,6 @@ class FieldConstructionError(PpirError, ValueError):
     """Requested field order is not a prime or a power of two, or is unsupported."""
 
 
-class MixedFieldError(PpirError, ValueError):
-    """Operands belong to different fields."""
-
-
 class SingularMatrixError(PpirError, ValueError):
     """Square matrix has no inverse over the field."""
 

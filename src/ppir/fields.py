@@ -6,18 +6,13 @@ fields represent elements as bit patterns (bit i is the coefficient of x^i),
 reduce by a canonical irreducible polynomial (the numerically smallest one of
 each degree), and multiply through log/exp tables.  Every result is fully
 reduced, so serialized symbols are bit-exact across runs.
-
-FieldElement is a thin checked wrapper used where mixing operands from
-different fields must be an error; the protocol and linear-algebra code works
-on bare integers for speed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import FieldConstructionError, MixedFieldError
+from .errors import FieldConstructionError
 
 # log/exp tables become unreasonable past this order
 _TABLE_LIMIT = 1 << 16
@@ -210,14 +205,6 @@ class FiniteField:
 
     # ----------------------------------------------------------------------
 
-    def check(self, a: int) -> int:
-        if not isinstance(a, int) or not 0 <= a < self.q:
-            raise ValueError(f"{a!r} is not an element of {self!r}")
-        return a
-
-    def __call__(self, value: int) -> "FieldElement":
-        return FieldElement(self.check(value), self)
-
     def __eq__(self, other):
         return isinstance(other, FiniteField) and other.q == self.q
 
@@ -248,45 +235,3 @@ def field_from_json(doc: dict) -> FiniteField:
             f"modulus {doc['modulus']} is not the canonical one for q={doc['q']}"
         )
     return field
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Checked scalar: value paired with its field."""
-
-    value: int
-    field: FiniteField
-
-    def __post_init__(self):
-        self.field.check(self.value)
-
-    def _peer(self, other) -> int:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.field != self.field:
-            raise MixedFieldError(f"{self.field!r} and {other.field!r} differ")
-        return other.value
-
-    def __add__(self, other):
-        return FieldElement(self.field.add(self.value, self._peer(other)), self.field)
-
-    def __sub__(self, other):
-        return FieldElement(self.field.sub(self.value, self._peer(other)), self.field)
-
-    def __mul__(self, other):
-        return FieldElement(self.field.mul(self.value, self._peer(other)), self.field)
-
-    def __truediv__(self, other):
-        return FieldElement(self.field.div(self.value, self._peer(other)), self.field)
-
-    def __neg__(self):
-        return FieldElement(self.field.neg(self.value), self.field)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"{self.value}:{self.field!r}"

@@ -14,8 +14,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -25,7 +25,7 @@ import yaml
 
 from . import picod
 from .audit import audit_exact, audit_statistical
-from .errors import ConfigError, EnumerationCapError, ParameterError, PpirError, SearchBudgetError
+from .errors import ConfigError, EnumerationCapError, ParameterError, SearchBudgetError
 from .fields import next_prime
 from .model import (
     InstanceParams,
@@ -131,10 +131,12 @@ class ExperimentConfig:
     include_records: bool = True
 
 
-def _grid_instances(grid: dict, msg_lens, demand: int):
-    """Deduplicated grid: sorted (size, count) multisets per class count."""
-    import itertools
+def grid_instances(grid: dict, msg_lens, demand: int):
+    """Deduplicated grid: sorted (size, count) multisets per class count.
 
+    grid holds `num_classes` (a list) and `max_class_size`; every class of
+    every instance can yield `demand` new messages.
+    """
     out = []
     sizes = range(1, grid["max_class_size"] + 1)
     for gamma in grid["num_classes"]:
@@ -184,7 +186,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             raise ConfigError(str(exc)) from exc
     if "grid" in doc:
         instances.extend(
-            _grid_instances(doc["grid"], doc["grid"].get("msg_len", [msg_len]), demand)
+            grid_instances(doc["grid"], doc["grid"].get("msg_len", [msg_len]), demand)
         )
     if not instances:
         raise ConfigError("no instances configured")
@@ -241,7 +243,6 @@ class TrialRecord:
     rate: Fraction
     new_from_class: tuple[int, ...]
     success: bool
-    wall_time_s: float  # kept in memory only, never serialized
 
     def to_json(self) -> dict:
         return {
@@ -259,7 +260,6 @@ class TrialRecord:
 def run_trial(params: InstanceParams, seed: int, scheme: str, demand: int, num_desired: int):
     """One seeded protocol round; raises on any contract violation."""
     rng = as_rng(seed)
-    started = time.perf_counter()
     layout = build_layout(params, rng)
     store = random_store(layout, rng)
     side = sample_side_info(layout, rng)
@@ -314,7 +314,6 @@ def run_trial(params: InstanceParams, seed: int, scheme: str, demand: int, num_d
         rate=rate,
         new_from_class=result.new_from_class,
         success=ok,
-        wall_time_s=time.perf_counter() - started,
     )
 
 
@@ -491,6 +490,8 @@ def replay(query_path, answer_path, side_path, desired: int | None = None):
             raise ParameterError("fsi replay needs the desired class")
         return fsi_decode(answer, query, side, values, desired)
     result = decode_answer(answer, side, values, demand=query.demand)
-    if desired is not None and result.new_from_class[desired] < query.demand:
-        raise PpirError(f"replay yielded no new message from class {desired}")
+    if desired is not None and not 0 <= desired < len(result.new_from_class):
+        raise ParameterError(
+            f"desired class {desired} is outside 0..{len(result.new_from_class) - 1}"
+        )
     return result

@@ -14,14 +14,6 @@ def identity(n: int):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def transpose(rows):
-    return [list(col) for col in zip(*rows)]
-
-
-def mat_vec(field, rows, vec):
-    return [field.dot(r, vec) for r in rows]
-
-
 def mat_mul(field, a, b):
     cols = list(zip(*b))
     return [[field.dot(r, c) for c in cols] for r in a]
@@ -59,19 +51,6 @@ def rank(field, rows) -> int:
     return len(echelon(field, rows)[0])
 
 
-def reduce_vector(field, ech_rows, pivots, vec):
-    """Remainder of vec after eliminating against an echelon basis."""
-    w = list(vec)
-    for row, p in zip(ech_rows, pivots):
-        if w[p]:
-            w = field.row_addmul(w, row, field.neg(w[p]))
-    return w
-
-
-def in_row_span(field, ech_rows, pivots, vec) -> bool:
-    return not any(reduce_vector(field, ech_rows, pivots, vec))
-
-
 def invert(field, rows):
     n = len(rows)
     aug = [list(r) + ident_row for r, ident_row in zip(rows, identity(n))]
@@ -79,8 +58,3 @@ def invert(field, rows):
     if pivots[:n] != list(range(n)) or len(red) < n:
         raise SingularMatrixError("matrix is singular over the field")
     return [r[n:] for r in red]
-
-
-def solve_right(field, a, b):
-    """X with a @ X = b, for square invertible a."""
-    return mat_mul(field, invert(field, a), b)

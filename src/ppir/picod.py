@@ -68,11 +68,6 @@ class EncodingMatrix:
         }
 
 
-def matrix_from_rows(rows, q: int) -> EncodingMatrix:
-    cols = tuple(tuple(c) for c in zip(*rows)) if rows and rows[0] else ()
-    return EncodingMatrix(cols, q)
-
-
 @dataclass(frozen=True)
 class PicodInstance:
     """Class partition, side counts and demand for the broadcast problem."""
@@ -161,48 +156,33 @@ def generic_min_field_size(num_messages: int) -> int:
 # --- decodability checks -----------------------------------------------------
 
 
+def _decodable_set(matrix: EncodingMatrix, side_set) -> set:
+    """Indices outside side_set that a client holding side_set can recover.
+
+    Dropping the side coordinates turns the question into u_m in the row
+    space of the restricted broadcasts.  In reduced echelon form u_j lies in
+    the row space exactly when column j is a pivot whose row has no other
+    nonzero entry, so one elimination answers every index at once.
+    """
+    side = set(side_set)
+    keep = [i for i in range(matrix.num_messages) if i not in side]
+    vectors = [[col[i] for i in keep] for col in matrix.columns]
+    ech, pivots = linalg.echelon(make_field(matrix.q), vectors)
+    return {keep[p] for row, p in zip(ech, pivots) if len(row) - row.count(0) == 1}
+
+
 def decodable(m: int, matrix: EncodingMatrix, side_set) -> bool:
     """Can a client holding side_set recover message m from the broadcasts?"""
-    if m in side_set:
-        return True
-    if not matrix.columns:
-        return False
-    f = matrix.num_messages
-    field = make_field(matrix.q)
-    side = set(side_set)
-    keep = [i for i in range(f) if i not in side]
-    vectors = [[col[i] for i in keep] for col in matrix.columns]
-    ech, pivots = linalg.echelon(field, vectors) if vectors else ([], [])
-    unit = [0] * len(keep)
-    unit[keep.index(m)] = 1
-    return linalg.in_row_span(field, ech, pivots, unit)
+    return m in side_set or m in _decodable_set(matrix, side_set)
 
 
 def _decodable_map(matrix: EncodingMatrix, side_set, instance: PicodInstance):
-    """Smallest decodable new index per class for one client, None if none.
-
-    Dropping the side-information coordinates first makes every span test a
-    reduction against one shared echelon basis.
-    """
-    field = make_field(matrix.q)
-    side = set(side_set)
-    keep = [i for i in range(matrix.num_messages) if i not in side]
-    pos = {m: j for j, m in enumerate(keep)}
-    vectors = [[col[i] for i in keep] for col in matrix.columns]
-    ech, pivots = linalg.echelon(field, vectors) if vectors else ([], [])
-    out = []
-    for members in instance.class_members:
-        found = None
-        for m in members:
-            if m in side:
-                continue
-            unit = [0] * len(keep)
-            unit[pos[m]] = 1
-            if linalg.in_row_span(field, ech, pivots, unit):
-                found = m
-                break
-        out.append(found)
-    return tuple(out)
+    """First decodable new index per class for one client, None if none."""
+    found = _decodable_set(matrix, side_set)
+    return tuple(
+        next((m for m in members if m in found), None)
+        for members in instance.class_members
+    )
 
 
 def client_satisfied(matrix: EncodingMatrix, side_set, instance: PicodInstance) -> bool:
@@ -420,7 +400,6 @@ class _Walker:
     def __init__(self, matrix, instance, cap):
         self.matrix = matrix
         self.inst = instance
-        self.field = make_field(matrix.q)
         self.family = instance.side_family(cap)
         self.greedy = {}
         for side in self.family:
@@ -537,17 +516,10 @@ class _Walker:
 
 
 def _verify_collected(matrix: EncodingMatrix, collected):
-    """Each unit vector must lie in the span of the row-restricted columns."""
-    field = make_field(matrix.q)
-    coords = sorted(set(collected))
-    restricted = [[col[i] for i in coords] for col in matrix.columns]
-    ech, pivots = linalg.echelon(field, restricted)
-    for tau in collected:
-        unit = [0] * len(coords)
-        unit[coords.index(tau)] = 1
-        if not linalg.in_row_span(field, ech, pivots, unit):
-            return False
-    return True
+    """Each collected unit vector lies in the span of the row-restricted columns."""
+    coords = set(collected)
+    others = [i for i in range(matrix.num_messages) if i not in coords]
+    return coords <= _decodable_set(matrix, others)
 
 
 def rank_lower_bound_certificate(

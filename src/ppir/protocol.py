@@ -134,6 +134,8 @@ def usi_answer(query: Query, store: MessageStore, seed=None, selections=None) ->
     """
     if query.scheme not in ("usi", "musi"):
         raise ParameterError(f"not a count-profile query: {query.scheme}")
+    if query.demand < 1:
+        raise ParameterError("demand must be at least 1")
     layout = store.layout
     params = layout.params
     if len(query.side_counts) != params.num_classes:
@@ -186,6 +188,10 @@ def decode_answer(
     code_factory=make_mds,
 ) -> RetrievalResult:
     """Recover every new message the answer yields, class by class.
+
+    Raises ProtocolViolationError unless the answer covers exactly the
+    classes of the side information and each yields at least `demand` new
+    messages, so every class can serve as the desired one.
 
     side_values maps each side-information label pair to its held symbols.
     code_factory builds the (n, k, q) erasure code named by parity headers.
@@ -245,39 +251,11 @@ def decode_answer(
         decoded.extend(new)
         counts[i] = len(new)
     order = sorted(counts)
-    if order != list(range(len(order))):
-        raise ProtocolViolationError(f"answer does not cover classes 0..{len(order) - 1}")
+    if order != list(range(len(side.per_class_counts))):
+        raise ProtocolViolationError(
+            f"answer covers classes {order}, expected 0..{len(side.per_class_counts) - 1}"
+        )
     return RetrievalResult(tuple(decoded), tuple(counts[i] for i in order))
-
-
-def usi_decode(
-    answer: Answer, side: SideInfo, side_values, v: int, code_factory=make_mds
-) -> RetrievalResult:
-    result = decode_answer(answer, side, side_values, demand=1, code_factory=code_factory)
-    if result.new_from_class[v] < 1:
-        raise ProtocolViolationError(f"no new message from desired class {v}")
-    return result
-
-
-# --- multi-message variant ---------------------------------------------------
-
-
-def musi_answer(query: Query, store: MessageStore, seed=None, selections=None) -> Answer:
-    if query.demand < 1:
-        raise ParameterError("demand must be at least 1")
-    return usi_answer(query, store, seed=seed, selections=selections)
-
-
-def musi_decode(
-    answer: Answer, side: SideInfo, side_values, desired_classes, demand: int
-) -> RetrievalResult:
-    result = decode_answer(answer, side, side_values, demand=demand)
-    for v in desired_classes:
-        if result.new_from_class[v] < demand:
-            raise ProtocolViolationError(
-                f"class {v} yielded {result.new_from_class[v]} < {demand} new messages"
-            )
-    return result
 
 
 # --- fully identifiable side information -------------------------------------
@@ -372,6 +350,8 @@ def fsi_decode(
         raise ProtocolViolationError("fsi answer must carry a single joint payload")
     payload = answer.payloads[0]
     num_classes = len(payload.picks)
+    if not 0 <= v < num_classes:
+        raise ParameterError(f"desired class {v} is outside 0..{num_classes - 1}")
     positions = [set() for _ in range(num_classes)]
     for i, p in side.label_set:
         positions[i].add(p)

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
-from ppir.harness import auto_field_size
+from ppir.harness import auto_field_size, grid_instances
 from ppir.model import (
     InstanceParams,
     build_layout,
@@ -37,27 +35,6 @@ def compositions(total, parts):
             yield (head,) + rest
 
 
-def grid_params(gammas=(2, 3), max_class_size=5, msg_lens=(1,), demand=1):
-    """Instance grid, exhaustive up to class relabeling."""
-    out = []
-    pairs = [
-        (mu, k)
-        for mu in range(1, max_class_size + 1)
-        for k in range(mu)
-        if mu >= k + demand
-    ]
-    for gamma in gammas:
-        for combo in itertools.combinations_with_replacement(pairs, gamma):
-            class_sizes = tuple(mu for mu, _ in combo)
-            side_counts = tuple(k for _, k in combo)
-            q = auto_field_size(class_sizes, side_counts, demand)
-            for msg_len in msg_lens:
-                out.append(
-                    InstanceParams(class_sizes, side_counts, msg_len=msg_len, q=q)
-                )
-    return out
-
-
 @pytest.fixture(scope="session")
 def acceptance_grid():
-    return grid_params(gammas=(2, 3), max_class_size=5, msg_lens=(1, 4))
+    return grid_instances({"num_classes": [2, 3], "max_class_size": 5}, (1, 4), 1)

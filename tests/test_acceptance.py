@@ -35,12 +35,11 @@ from ppir.picod import (
     rank_lower_bound_certificate,
 )
 from ppir.protocol import (
+    decode_answer,
     download_cost,
     fsi_answer,
     fsi_decode,
     fsi_query,
-    musi_answer,
-    musi_decode,
     usi_answer,
     usi_query,
 )
@@ -293,9 +292,9 @@ def test_criterion_9_multi_message_rate():
         side = sample_side_info(layout, seed + 2)
         values = {lab: store.message_for(lab) for lab in side.label_set}
         query = usi_query(0, side, demand=2)
-        answer = musi_answer(query, store, seed + 3)
+        answer = usi_answer(query, store, seed + 3)
         ok = ok and download_cost(answer) == 6 * params.msg_len
-        result = musi_decode(answer, side, values, (0,), demand=2)
+        result = decode_answer(answer, side, values, demand=2)
         ok = ok and all(n >= 2 for n in result.new_from_class)
         rate = Fraction(2 * 1 * params.msg_len, download_cost(answer))
         ok = ok and rate == Fraction(1, 3)

@@ -127,6 +127,29 @@ def test_replay_command(tmp_path, capsys):
     assert doc["new_from_class"] == [2, 2]
 
 
+def test_replay_command_desired_out_of_range(tmp_path, capsys):
+    from conftest import make_world
+    from ppir.protocol import usi_answer, usi_query
+    from ppir.wire import answer_to_json, query_to_json, side_to_json
+
+    params, layout, store, side, values = make_world((3, 3, 3), (1, 1, 1), seed=2)
+    query = usi_query(0, side)
+    (tmp_path / "q.json").write_text(json.dumps(query_to_json(query)))
+    (tmp_path / "a.json").write_text(json.dumps(answer_to_json(usi_answer(query, store, 3))))
+    (tmp_path / "s.json").write_text(json.dumps(side_to_json(side, values)))
+    for desired in ("7", "-1"):
+        code, out, err = run_cli(
+            capsys,
+            "replay",
+            "--query", str(tmp_path / "q.json"),
+            "--answer", str(tmp_path / "a.json"),
+            "--side", str(tmp_path / "s.json"),
+            "--desired", desired,
+        )
+        assert code != 0 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_replay_command_bad_file(tmp_path, capsys):
     (tmp_path / "q.json").write_text(json.dumps({"format": "wrong"}))
     (tmp_path / "a.json").write_text("{}")

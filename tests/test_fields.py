@@ -3,9 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from ppir.errors import FieldConstructionError, MixedFieldError
+from ppir.errors import FieldConstructionError
 from ppir.fields import (
-    FieldElement,
     canonical_modulus,
     field_from_json,
     make_field,
@@ -92,21 +91,6 @@ def test_dot_product_both_kinds():
     for x, y in zip([1, 5, 7], [3, 2, 6]):
         want ^= f8.mul(x, y)
     assert f8.dot([1, 5, 7], [3, 2, 6]) == want
-
-
-def test_field_element_wrapper():
-    f5 = make_field(5)
-    a, b = f5(3), f5(4)
-    assert int(a + b) == 2
-    assert int(a * b) == 2
-    assert int(-a) == 2
-    assert int(b.inverse()) == 4
-    with pytest.raises(ValueError):
-        f5(5)
-    with pytest.raises(MixedFieldError):
-        a + make_field(7)(1)
-    with pytest.raises(MixedFieldError):
-        FieldElement(1, f5) * FieldElement(1, make_field(3))
 
 
 def test_serialization_round_trip():

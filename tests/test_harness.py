@@ -63,6 +63,14 @@ def test_config_grid_expansion():
     assert ((1, 1), (0, 0)) in shapes
     assert ((2, 2), (1, 1)) in shapes
     assert len(shapes) == 6  # pairs over {(1,0),(2,0),(2,1)} up to relabeling
+    # the acceptance grid the tests and scripts share must never shrink
+    config = config_from_dict(
+        {"grid": {"num_classes": [2, 3], "max_class_size": 5, "msg_len": [1, 4]}}
+    )
+    ids = [instance_id(p) for p in config.instances]
+    assert len(set(ids)) == len(ids) == 1600
+    for msg_len in (1, 4):
+        assert sum(1 for p in config.instances if p.msg_len == msg_len) == 800
 
 
 def test_run_trial_usi_success():
@@ -176,13 +184,22 @@ def test_replay_round_trip(tmp_path):
     assert replayed == direct
 
 
-def test_replay_truncated_payload(tmp_path):
-    _write_trial_files(tmp_path)
-    doc = json.loads((tmp_path / "answer.json").read_text())
+def _cut_symbols(doc):
     doc["payloads"][0]["symbols"] = doc["payloads"][0]["symbols"][:1]
-    (tmp_path / "answer.json").write_text(json.dumps(doc))
-    with pytest.raises(ProtocolViolationError):
-        replay(tmp_path / "query.json", tmp_path / "answer.json", tmp_path / "side.json")
+
+
+def _drop_last_payload(doc):
+    doc["payloads"] = doc["payloads"][:-1]
+
+
+def test_replay_truncated_payload(tmp_path):
+    for truncate in (_cut_symbols, _drop_last_payload):
+        _write_trial_files(tmp_path)
+        doc = json.loads((tmp_path / "answer.json").read_text())
+        truncate(doc)
+        (tmp_path / "answer.json").write_text(json.dumps(doc))
+        with pytest.raises(ProtocolViolationError):
+            replay(tmp_path / "query.json", tmp_path / "answer.json", tmp_path / "side.json")
 
 
 def test_replay_against_other_side_same_counts(tmp_path):

@@ -38,22 +38,6 @@ def test_singular_raises():
         linalg.invert(f, [[1, 2], [2, 4]])
 
 
-def test_solve_right():
-    f = make_field(7)
-    a = [[2, 1], [1, 3]]
-    x = [[4], [5]]
-    b = linalg.mat_mul(f, a, x)
-    assert linalg.solve_right(f, a, b) == x
-
-
-def test_span_membership():
-    f = make_field(3)
-    rows, pivots = linalg.echelon(f, [[1, 1, 0], [0, 1, 1]])
-    assert linalg.in_row_span(f, rows, pivots, [1, 2, 1])
-    assert not linalg.in_row_span(f, rows, pivots, [1, 0, 1])
-    assert linalg.in_row_span(f, rows, pivots, [0, 0, 0])
-
-
 @given(st.integers(1, 4), st.data())
 def test_invert_random_nonsingular_gf5(n, data):
     f = make_field(5)

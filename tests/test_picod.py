@@ -1,9 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import grid_params, make_world
+from conftest import make_world
 from ppir.errors import EnumerationCapError, ParameterError, SearchBudgetError
+from ppir.harness import grid_instances
 from ppir.model import InstanceParams
 from ppir.picod import (
     EncodingMatrix,
@@ -140,7 +142,7 @@ def test_bound_formulas():
 
 
 def test_sandwich_exhaustive_small():
-    for params in grid_params(gammas=(2, 3), max_class_size=4):
+    for params in grid_instances({"num_classes": [2, 3], "max_class_size": 4}, (1,), 1):
         instance = instance_from_params(params)
         lower = broadcast_lower_bound(instance)
         upper = broadcast_upper_bound(
@@ -215,8 +217,9 @@ def _explicit_decoding_combination(matrix, side_set, m):
 
 
 def test_decodable_yields_explicit_linear_decoder():
-    # whenever the rank test says decodable, an actual linear combination of
-    # broadcast symbols and held messages reconstructs the stored message
+    # the rank test says decodable exactly when a linear combination of
+    # broadcast symbols and held messages exists, and that combination
+    # reconstructs the stored message
     from ppir.fields import make_field
     from ppir.model import build_layout, random_store
 
@@ -234,10 +237,10 @@ def test_decodable_yields_explicit_linear_decoder():
     checked = 0
     for side_set in instance.side_family():
         for m in range(params.num_messages):
-            if m in side_set or not decodable(m, matrix, side_set):
-                continue
             combo = _explicit_decoding_combination(matrix, side_set, m)
-            assert combo is not None
+            assert decodable(m, matrix, side_set) == (combo is not None)
+            if m in side_set or combo is None:
+                continue
             b_coeffs, s_coeffs = combo
             rebuilt = []
             for l in range(params.msg_len):
@@ -248,6 +251,25 @@ def test_decodable_yields_explicit_linear_decoder():
             assert tuple(rebuilt) == store.messages[m]
             checked += 1
     assert checked > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_decodable_matches_explicit_solve_random_matrices(data):
+    # both directions on small random matrices over prime and binary fields
+    q = data.draw(st.sampled_from([2, 3, 4]))
+    f = data.draw(st.integers(1, 5))
+    length = data.draw(st.integers(1, 4))
+    columns = data.draw(
+        st.lists(
+            st.tuples(*[st.integers(0, q - 1)] * f), min_size=length, max_size=length
+        )
+    )
+    side_set = tuple(sorted(data.draw(st.sets(st.integers(0, f - 1)))))
+    matrix = EncodingMatrix(tuple(columns), q)
+    for m in range(f):
+        combo = _explicit_decoding_combination(matrix, side_set, m)
+        assert decodable(m, matrix, side_set) == (combo is not None)
 
 
 def test_bruteforce_budget_error_with_partial_progress():

@@ -21,6 +21,7 @@ from ppir.model import (
 from ppir.protocol import (
     Answer,
     ClassPayload,
+    Query,
     achieved_rate,
     class_plan,
     decode_answer,
@@ -28,10 +29,7 @@ from ppir.protocol import (
     fsi_answer,
     fsi_decode,
     fsi_query,
-    musi_answer,
-    musi_decode,
     usi_answer,
-    usi_decode,
     usi_query,
 )
 from ppir.rates import usi_capacity
@@ -113,7 +111,7 @@ def test_decode_parity_recovers_exact_messages():
     for seed in range(50):
         params, layout, store, side, values = make_world((2, 2), (1, 1), seed=seed)
         answer = usi_answer(usi_query(0, side), store, seed + 1000)
-        result = usi_decode(answer, side, values, 0)
+        result = decode_answer(answer, side, values)
         assert result.new_from_class == (1, 1)
         for lab, sym in result.decoded:
             assert store.message_for(lab) == tuple(sym)
@@ -122,7 +120,7 @@ def test_decode_parity_recovers_exact_messages():
 def test_decode_full_protocol_counts():
     params, _, store, side, values = make_world((3, 3), (1, 1))
     answer = usi_answer(usi_query(1, side), store, 7)
-    result = usi_decode(answer, side, values, 1)
+    result = decode_answer(answer, side, values)
     assert result.new_from_class == (2, 2)
     assert result.total_new == 4
 
@@ -130,7 +128,7 @@ def test_decode_full_protocol_counts():
 def test_decode_uncoded_no_side_all_new():
     params, _, store, side, values = make_world((4, 4), (0, 0))
     answer = usi_answer(usi_query(0, side), store, 7)
-    result = usi_decode(answer, side, values, 0)
+    result = decode_answer(answer, side, values)
     assert result.new_from_class == (1, 1)
 
 
@@ -152,7 +150,7 @@ def test_decode_bad_header_identifier():
         )
     bad = Answer(answer.q, answer.msg_len, tuple(tampered))
     with pytest.raises(DecodeMetadataError):
-        usi_decode(bad, side, values, 0)
+        decode_answer(bad, side, values)
 
 
 def test_decode_truncated_parity_payload():
@@ -170,7 +168,12 @@ def test_decode_truncated_parity_payload():
         for p in answer.payloads
     )
     with pytest.raises(ProtocolViolationError):
-        usi_decode(Answer(answer.q, answer.msg_len, cut), side, values, 0)
+        decode_answer(Answer(answer.q, answer.msg_len, cut), side, values)
+    # a whole class dropped: every remaining class still decodes on its own
+    params, _, store, side, values = make_world((3, 3, 3), (1, 1, 1))
+    answer = usi_answer(usi_query(0, side), store, 7)
+    with pytest.raises(ProtocolViolationError):
+        decode_answer(Answer(answer.q, answer.msg_len, answer.payloads[:-1]), side, values)
 
 
 def test_decode_with_other_side_same_counts():
@@ -189,9 +192,9 @@ def test_multi_message_rate_and_counts():
     params, _, store, side, values = make_world((4, 4), (1, 1), q=7)
     query = usi_query(0, side, demand=2)
     assert query.scheme == "musi"
-    answer = musi_answer(query, store, 5)
+    answer = usi_answer(query, store, 5)
     assert download_cost(answer) == 6 * params.msg_len
-    result = musi_decode(answer, side, values, (0,), demand=2)
+    result = decode_answer(answer, side, values, demand=2)
     assert all(n >= 2 for n in result.new_from_class)
     assert achieved_rate(answer, params.msg_len) == Fraction(1, 6)
     for lab, sym in result.decoded:
@@ -199,25 +202,36 @@ def test_multi_message_rate_and_counts():
 
 
 def test_multi_message_demand_one_matches_usi():
-    params, _, store, side, _ = make_world((3, 3), (1, 1))
+    # the demand path at demand 1 is the single-message scheme
+    params, _, store, side, values = make_world((3, 3), (1, 1))
     q1 = usi_query(0, side, demand=1)
+    assert q1 == usi_query(0, side) and q1.scheme == "usi"
+    as_musi = Query(scheme="musi", side_counts=q1.side_counts, demand=1)
     a = usi_answer(q1, store, 4)
-    b = musi_answer(q1, store, 4)
+    b = usi_answer(as_musi, store, 4)
     assert canonical_bytes(answer_to_json(a)) == canonical_bytes(answer_to_json(b))
+    assert decode_answer(a, side, values, demand=1) == decode_answer(a, side, values)
+
+
+def test_answer_rejects_demand_below_one():
+    # queries arrive from the wire, so the server checks the demand itself
+    params, _, store, side, _ = make_world((3, 3), (1, 1))
+    with pytest.raises(ParameterError):
+        usi_answer(Query(scheme="musi", side_counts=(1, 1), demand=0), store, 5)
 
 
 def test_multi_message_boundary_accepted():
     params, _, store, side, values = make_world((3, 3), (1, 1))
-    answer = musi_answer(usi_query(0, side, demand=2), store, 5)
+    answer = usi_answer(usi_query(0, side, demand=2), store, 5)
     assert download_cost(answer) == 4 * params.msg_len
-    result = musi_decode(answer, side, values, (1,), demand=2)
+    result = decode_answer(answer, side, values, demand=2)
     assert all(n == 2 for n in result.new_from_class)
 
 
 def test_multi_message_demand_too_large():
     params, _, store, side, _ = make_world((3, 3), (2, 2))
     with pytest.raises(UnsupportedParametersError):
-        musi_answer(usi_query(0, side, demand=2), store, 5)
+        usi_answer(usi_query(0, side, demand=2), store, 5)
 
 
 def _fsi_world(class_sizes, side_counts, seed=0, q=None):
@@ -245,6 +259,9 @@ def test_fsi_round_trip_eta_2_of_3():
     lab = (v, query.picks[v])
     got = dict(result.decoded)[lab]
     assert got == store.messages[layout.class_members[v][query.picks[v]]]
+    for outside in (3, -1):
+        with pytest.raises(ParameterError):
+            fsi_decode(answer, query, pos_side, values, outside)
 
 
 def test_fsi_desired_class_avoids_held_positions():
@@ -300,7 +317,7 @@ def test_round_trip_over_binary_extension_field():
     answer = usi_answer(usi_query(0, side), store, 6)
     assert answer.q == 8
     assert download_cost(answer) == 4 * params.msg_len
-    result = usi_decode(answer, side, values, 0)
+    result = decode_answer(answer, side, values)
     assert result.new_from_class == (2, 2)
     for lab, sym in result.decoded:
         assert store.message_for(lab) == tuple(sym)
@@ -319,7 +336,7 @@ def test_class_relabeling_is_immaterial():
             params, _, store, side, values = make_world(sizes, counts, seed=4)
             answer = usi_answer(usi_query(0, side), store, 5)
             costs.append(download_cost(answer))
-            result = usi_decode(answer, side, values, 0)
+            result = decode_answer(answer, side, values)
             assert all(n >= 1 for n in result.new_from_class)
         assert costs[0] == costs[1]
 
@@ -350,7 +367,7 @@ def test_protocol_invariants_random_instances(data):
     expected = sum(min(k + 1, mu - k) for mu, k in zip(class_sizes, side_counts))
     assert download_cost(answer) == expected * msg_len
     assert achieved_rate(answer, msg_len) == usi_capacity(class_sizes, side_counts)
-    result = usi_decode(answer, side, values, v)
+    result = decode_answer(answer, side, values)
     assert all(n >= 1 for n in result.new_from_class)
     assert result.total_new <= params.num_messages - params.total_side
     for lab, sym in result.decoded:
