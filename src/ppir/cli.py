@@ -3,7 +3,7 @@
 Subcommands: run (experiment config), capacity (rate calculators), oracle
 (bounds, brute-force minimum length, certificate), audit (privacy), replay
 (decode serialized wire files).  Exit codes: 0 pass, 1 assertion failure,
-2 configuration or format error.
+2 configuration or format error, which covers every error `replay` raises.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .audit import MUTANT_SERVERS, audit_exact, audit_statistical
 from .errors import (
     ConfigError,
     EnumerationCapError,
-    ParameterError,
     PpirError,
     SearchBudgetError,
     WireFormatError,
@@ -252,11 +251,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, WireFormatError) as exc:
+    except PpirError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParameterError, PpirError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # replay's only inputs are its files, so anything it rejects is a format error
+        if isinstance(exc, (ConfigError, WireFormatError)) or args.func is cmd_replay:
+            return 2
         return 1
 
 

@@ -10,6 +10,7 @@ reduced, so serialized symbols are bit-exact across runs.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 from .errors import FieldConstructionError
@@ -18,18 +19,40 @@ from .errors import FieldConstructionError
 _TABLE_LIMIT = 1 << 16
 
 
+# Miller-Rabin with the primes up to 41 as bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact for n < PRIMALITY_LIMIT."""
+    if n >= PRIMALITY_LIMIT:
+        raise FieldConstructionError(
+            f"primality is decided exactly only below {PRIMALITY_LIMIT}, got {n}"
+        )
     if n < 2:
         return False
-    if n < 4:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:  # no prime factor up to 41 and none above sqrt(n)
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -178,10 +201,7 @@ class FiniteField:
 
     def dot(self, xs, ys) -> int:
         if self.modulus is None:
-            s = 0
-            for x, y in zip(xs, ys):
-                s += x * y
-            return s % self.q
+            return sum(map(operator.mul, xs, ys)) % self.q
         mul = self.mul
         s = 0
         for x, y in zip(xs, ys):

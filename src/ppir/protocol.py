@@ -190,8 +190,8 @@ def decode_answer(
     """Recover every new message the answer yields, class by class.
 
     Raises ProtocolViolationError unless the answer covers exactly the
-    classes of the side information and each yields at least `demand` new
-    messages, so every class can serve as the desired one.
+    classes of the side information, each once, and each yields at least
+    `demand` new messages, so every class can serve as the desired one.
 
     side_values maps each side-information label pair to its held symbols.
     code_factory builds the (n, k, q) erasure code named by parity headers.
@@ -203,6 +203,8 @@ def decode_answer(
         if isinstance(payload, JointPayload):
             raise ParameterError("joint payloads decode via fsi_decode")
         i = payload.class_id
+        if i in counts:
+            raise ProtocolViolationError(f"answer carries class {i} twice")
         if payload.mode == "uncoded":
             new = [
                 (lab, tuple(row))
@@ -345,10 +347,19 @@ def fsi_answer(query: Query, store: MessageStore) -> Answer:
 def fsi_decode(
     answer: Answer, query: Query, side: SideInfo, side_values, v: int, code_factory=make_mds
 ) -> RetrievalResult:
-    """Place known picks at their systematic slots, erasure-decode, read off v."""
+    """Place known picks at their systematic slots, erasure-decode, read off v.
+
+    Raises ProtocolViolationError unless the answer is one joint payload
+    built for this query's picks and known count.
+    """
     if len(answer.payloads) != 1 or not isinstance(answer.payloads[0], JointPayload):
         raise ProtocolViolationError("fsi answer must carry a single joint payload")
     payload = answer.payloads[0]
+    if (payload.picks, payload.known_count) != (query.picks, query.known_count):
+        raise ProtocolViolationError(
+            f"answer is for picks {payload.picks} with {payload.known_count} known, "
+            f"query has picks {query.picks} with {query.known_count} known"
+        )
     num_classes = len(payload.picks)
     if not 0 <= v < num_classes:
         raise ParameterError(f"desired class {v} is outside 0..{num_classes - 1}")

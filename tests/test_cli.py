@@ -146,8 +146,31 @@ def test_replay_command_desired_out_of_range(tmp_path, capsys):
             "--side", str(tmp_path / "s.json"),
             "--desired", desired,
         )
-        assert code != 0 and out == ""
+        assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_replay_command_inconsistent_answer(tmp_path, capsys):
+    from conftest import make_world
+    from ppir.protocol import usi_answer, usi_query
+    from ppir.wire import answer_to_json, query_to_json, side_to_json
+
+    params, layout, store, side, values = make_world((3, 3), (1, 1), seed=2)
+    query = usi_query(0, side)
+    doc = answer_to_json(usi_answer(query, store, 3))
+    doc["payloads"].append(doc["payloads"][1])  # class 1 twice
+    (tmp_path / "q.json").write_text(json.dumps(query_to_json(query)))
+    (tmp_path / "a.json").write_text(json.dumps(doc))
+    (tmp_path / "s.json").write_text(json.dumps(side_to_json(side, values)))
+    code, out, err = run_cli(
+        capsys,
+        "replay",
+        "--query", str(tmp_path / "q.json"),
+        "--answer", str(tmp_path / "a.json"),
+        "--side", str(tmp_path / "s.json"),
+    )
+    assert code == 2 and out == ""
+    assert "class 1 twice" in err and "Traceback" not in err
 
 
 def test_replay_command_bad_file(tmp_path, capsys):

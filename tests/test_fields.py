@@ -5,8 +5,10 @@ from hypothesis import given, strategies as st
 
 from ppir.errors import FieldConstructionError
 from ppir.fields import (
+    PRIMALITY_LIMIT,
     canonical_modulus,
     field_from_json,
+    is_prime,
     make_field,
     next_prime,
 )
@@ -106,3 +108,50 @@ def test_shared_instances_and_next_prime():
     assert next_prime(8) == 11
     assert next_prime(11) == 11
     assert next_prime(1) == 2
+
+
+def test_is_prime_matches_trial_division():
+    limit = 10**5
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for d in range(2, int(limit**0.5) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytearray(len(range(d * d, limit, d)))
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+
+# strong pseudoprimes to every prime base up to 2, 3, ..., 37 in turn, and a
+# Carmichael number; each is the product of its factors
+PSEUDOPRIMES = [
+    (561, (3, 11, 17)),
+    (2047, (23, 89)),
+    (1373653, (829, 1657)),
+    (25326001, (2251, 11251)),
+    (3215031751, (151, 751, 28351)),
+    (2152302898747, (6763, 10627, 29947)),
+    (3474749660383, (1303, 16927, 157543)),
+    (341550071728321, (10670053, 32010157)),
+    (3825123056546413051, (149491, 747451, 34233211)),
+    (318665857834031151167461, (399165290221, 798330580441)),
+]
+
+
+@pytest.mark.parametrize("n, factors", PSEUDOPRIMES)
+def test_is_prime_rejects_strong_pseudoprimes(n, factors):
+    product = 1
+    for f in factors:
+        product *= f
+    assert product == n
+    assert not is_prime(n)
+
+
+def test_is_prime_large_orders_are_bounded():
+    # trial division had not finished on 2^61 - 1 after 10 s
+    assert is_prime(2**31 - 1) and is_prime(2**61 - 1)
+    assert not is_prime((2**13 - 1) * (2**61 - 1))
+    assert make_field(2**61 - 1).kind == "prime"
+    for n in (PRIMALITY_LIMIT, 2**89 - 1):
+        with pytest.raises(FieldConstructionError):
+            is_prime(n)
+    with pytest.raises(FieldConstructionError):
+        make_field(2**89 - 1)

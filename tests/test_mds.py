@@ -3,13 +3,17 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ppir import linalg
+from ppir import linalg, mds
 from ppir.errors import (
     CorruptionError,
     InsufficientInformationError,
     UnsupportedParametersError,
 )
-from ppir.mds import make_mds
+from ppir.fields import make_field
+from ppir.mds import SystematicMdsCode, make_mds
+
+# one length below the packed kernel's crossover and one above it
+LENGTHS = (1, mds._PACK_MIN_LEN + 4)
 
 
 def mds_minors_ok(code):
@@ -92,12 +96,38 @@ def test_decode_below_dimension_errors():
 
 def test_decode_inconsistent_errors():
     code = make_mds(4, 2, 5)
-    cw = code.encode([(1,), (2,)])
-    bad = [(0, cw[0]), (1, cw[1]), (2, (4,)) if cw[2] != (4,) else (2, (3,))]
+    for length in LENGTHS:
+        cw = code.encode([(1,) * length, (2,) * length])
+        flipped = cw[2][:-1] + ((cw[2][-1] + 1) % 5,)
+        with pytest.raises(CorruptionError):
+            code.erasure_decode([(0, cw[0]), (1, cw[1]), (2, flipped)])
+        with pytest.raises(CorruptionError):
+            code.erasure_decode([(0, (0,) * length), (0, (1,) * length), (1, cw[1])])
+
+
+@pytest.mark.parametrize("length", LENGTHS)
+@pytest.mark.parametrize("bad", [-5, 2**40, 5])
+def test_symbols_outside_field_are_corruption(length, bad):
+    # symbols that array() cannot hold must still end in the typed error
+    code = make_mds(4, 2, 5)
+    cw = code.encode([(1,) * length, (2,) * length])
+    tampered = (bad,) + cw[0][1:]
+    with pytest.raises(CorruptionError, match="outside"):
+        code.erasure_decode([(0, tampered), (1, cw[1])])
     with pytest.raises(CorruptionError):
-        code.erasure_decode(bad)
-    with pytest.raises(CorruptionError):
-        code.erasure_decode([(0, (0,)), (0, (1,)), (1, cw[1])])
+        code.erasure_decode([(0, cw[0]), (1, cw[1]), (3, tampered)])
+    with pytest.raises(CorruptionError, match="outside"):
+        code.parity_rows([tampered, cw[1]])
+
+
+@pytest.mark.parametrize("length", LENGTHS)
+def test_rows_of_unequal_length_are_corruption(length):
+    code = make_mds(4, 2, 5)
+    cw = code.encode([(1,) * length, (2,) * length])
+    with pytest.raises(CorruptionError, match="length"):
+        code.erasure_decode([(0, cw[0]), (1, cw[1] + (0,))])
+    with pytest.raises(CorruptionError, match="length"):
+        code.parity_rows([cw[0], cw[1][:-1]])
 
 
 def test_round_trip_exhaustive_tiny():
@@ -123,7 +153,7 @@ def test_parity_is_deterministic():
 def test_round_trip_random(q, data):
     n = data.draw(st.integers(2, min(q, 8)))
     k = data.draw(st.integers(1, n))
-    length = data.draw(st.integers(1, 3))
+    length = data.draw(st.integers(1, 3) | st.integers(16, 40))
     code = make_mds(n, k, q)
     msg = [
         tuple(data.draw(st.integers(0, q - 1)) for _ in range(length))
@@ -135,3 +165,69 @@ def test_round_trip_random(q, data):
         st.permutations(range(n)).map(lambda p: tuple(sorted(p[:k])))
     )
     assert code.erasure_decode([(p, cw[p]) for p in positions]) == cw
+
+
+# every field with q <= 16, the benchmark's fields and their neighbours, and
+# 2^31 - 1, whose slots exceed 64 bits from k = 5 on
+KERNEL_FIELDS = [2, 3, 4, 5, 7, 8, 11, 13, 16, 256, 257, 65536, 65537, 2**31 - 1]
+
+
+def _symbols(q):
+    return st.sampled_from([0, q - 1]) | st.integers(0, q - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS), st.data())
+def test_packed_kernel_matches_column_loop(q, data):
+    field = make_field(q)
+    k = data.draw(st.integers(1, 12))
+    r = data.draw(st.integers(0, 6))
+    length = data.draw(st.integers(1, 40))
+    coeffs = [[data.draw(_symbols(q)) for _ in range(k)] for _ in range(r)]
+    if data.draw(st.booleans()):
+        rows = [(q - 1,) * length] * k
+    else:
+        rows = [tuple(data.draw(_symbols(q)) for _ in range(length)) for _ in range(k)]
+    reference = mds._combine_scalar(field, coeffs, list(zip(*rows)))
+    assert mds._combine(field, coeffs, rows) == reference
+    bits = mds._slot_bits(field, k)
+    if q == 2**31 - 1 and k >= 5:
+        assert bits is None
+    if bits is not None:
+        assert mds._combine_packed(field, coeffs, rows, bits) == reference
+
+
+@pytest.mark.parametrize("q", KERNEL_FIELDS)
+def test_packed_kernel_extremes(q):
+    # all-(q-1) coefficients and rows give the largest slot sums
+    field = make_field(q)
+    length = mds._PACK_MIN_LEN
+    # k = 4 fills 64-bit slots exactly at q = 2^31 - 1
+    for k in (1, 4, 12):
+        bits = mds._slot_bits(field, k)
+        if bits is None:
+            assert q == 2**31 - 1 and k == 12
+            continue
+        rows = [(q - 1,) * length] * k
+        for coeffs in ([[q - 1] * k] * 2, [[0] * k], []):
+            reference = mds._combine_scalar(field, coeffs, list(zip(*rows)))
+            assert mds._combine_packed(field, coeffs, rows, bits) == reference
+
+
+@pytest.mark.parametrize("q", [5, 256, 257])
+def test_n_equals_k_above_crossover(q):
+    code = make_mds(4, 4, q)
+    msg = [tuple((i * 7 + j) % q for j in range(20)) for i in range(4)]
+    assert code.parity_rows(msg) == []
+    assert code.erasure_decode(list(enumerate(msg))) == msg
+
+
+def test_recovery_cache_is_bounded():
+    code = SystematicMdsCode(10, 5, make_field(11))
+    msg = [tuple((3 * i + j) % 11 for j in range(20)) for i in range(5)]
+    cw = code.encode(msg)
+    patterns = list(itertools.combinations(range(10), 5))[: 2 * mds._RECOVERY_CACHE_SIZE]
+    for positions in patterns + patterns[-3:]:
+        assert code.erasure_decode([(p, cw[p]) for p in positions]) == cw
+        assert len(code._recovery) <= mds._RECOVERY_CACHE_SIZE
+    assert set(code._recovery) == set(patterns[-mds._RECOVERY_CACHE_SIZE:])

@@ -176,6 +176,17 @@ def test_decode_truncated_parity_payload():
         decode_answer(Answer(answer.q, answer.msg_len, answer.payloads[:-1]), side, values)
 
 
+def test_decode_rejects_duplicate_class_payload():
+    # a second copy of class 1 used to decode to new_from_class (2, 2) with
+    # six entries, two of them duplicates
+    params, _, store, side, values = make_world((3, 3), (1, 1))
+    answer = usi_answer(usi_query(0, side), store, 7)
+    assert decode_answer(answer, side, values).new_from_class == (2, 2)
+    doubled = Answer(answer.q, answer.msg_len, answer.payloads + answer.payloads[1:])
+    with pytest.raises(ProtocolViolationError, match="class 1 twice"):
+        decode_answer(doubled, side, values)
+
+
 def test_decode_with_other_side_same_counts():
     # an answer serves any side information set with the same count profile
     params, layout, store, side, _ = make_world((4, 3), (1, 1), seed=8)
@@ -262,6 +273,19 @@ def test_fsi_round_trip_eta_2_of_3():
     for outside in (3, -1):
         with pytest.raises(ParameterError):
             fsi_decode(answer, query, pos_side, values, outside)
+
+
+def test_fsi_decode_rejects_answer_for_another_query():
+    params, layout, store, pos_side, values = _fsi_world((2, 2, 2), (0, 0, 0))
+    query = Query(scheme="fsi", picks=(0, 0, 0), known_count=0)
+    other = fsi_answer(Query(scheme="fsi", picks=(0, 0, 1), known_count=0), store)
+    with pytest.raises(ProtocolViolationError, match="picks"):
+        fsi_decode(other, query, pos_side, values, 0)
+    fewer = fsi_answer(Query(scheme="fsi", picks=(0, 0, 0), known_count=1), store)
+    with pytest.raises(ProtocolViolationError, match="known"):
+        fsi_decode(fewer, query, pos_side, values, 0)
+    result = fsi_decode(fsi_answer(query, store), query, pos_side, values, 0)
+    assert result.new_from_class == (1, 1, 1)
 
 
 def test_fsi_desired_class_avoids_held_positions():
