@@ -21,6 +21,21 @@ The audit interface deliberately hands the server the true (v, side) so
 that leaky server implementations are expressible; three shipped mutants
 (class-biased selection, side-dependent parity row count, class tag in the
 answer) demonstrate the audit fails them, making the audit itself testable.
+
+The audits pay once per distinct answer, not once per enumerated triple.
+The honest UsiServer memoizes its answers per store, keyed by (query,
+choice), and returns the same Answer object on every repeat; both audits
+serialize each answer object once, keyed by its id with a weak reference
+beside the bytes, so a reused id never returns another answer's bytes.
+Distributions are still counted over the canonical bytes, so verdicts are
+unchanged.  The mutants override answer_for and call usi_answer
+themselves: they build a fresh answer per call, which the identity-keyed
+bytes never match, so every leak they add is serialized and counted.
+
+audit_fsi_query_exact checks the positional (fsi) scheme's query: it
+enumerates fsi_query's own random choices (fsi_choice_space) through the
+shipped fsi_query; the FsiPinAllUser mutant, which pins every side class
+when v holds none, shows it fails a known_count leak.
 """
 
 from __future__ import annotations
@@ -28,7 +43,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import EnumerationCapError, ParameterError
@@ -37,17 +53,33 @@ from .model import (
     MessageStore,
     as_rng,
     enumerate_side_info_sets,
+    positional_side_info,
     random_store,
     sample_side_info,
 )
-from .protocol import Query, class_plan, uncoded_choice_space, usi_answer, usi_query
+from .protocol import (
+    Query,
+    class_plan,
+    fsi_choice_space,
+    fsi_query,
+    uncoded_choice_space,
+    usi_answer,
+    usi_query,
+)
 from .wire import answer_to_json, canonical_bytes, query_to_json
 
 
 class UsiServer:
-    """Honest server: answers from (query, store, randomness) alone."""
+    """Honest server: answers from (query, store, randomness) alone.
+
+    answer_for builds each (query, choice) answer once per store and returns
+    the same Answer object on every repeat; handing it another store object
+    starts a fresh memo.
+    """
 
     name = "honest"
+    _memo_store = None
+    _memo = None
 
     def choice_space(self, query: Query, layout: DatabaseLayout):
         spaces = []
@@ -60,7 +92,13 @@ class UsiServer:
         return spaces
 
     def answer_for(self, query, store, choice, v=None, side=None):
-        return usi_answer(query, store, selections=choice)
+        if store is not self._memo_store:
+            self._memo_store, self._memo = store, {}
+        key = (query, choice)
+        answer = self._memo.get(key)
+        if answer is None:
+            answer = self._memo[key] = usi_answer(query, store, selections=choice)
+        return answer
 
     def answer_random(self, query, store, rng, v=None, side=None):
         spaces = self.choice_space(query, store.layout)
@@ -137,6 +175,27 @@ class ClassTagServer(UsiServer):
 MUTANT_SERVERS = (ClassBiasedServer, SideParityDropServer, ClassTagServer)
 
 
+def _answer_serializer():
+    """answer -> canonical wire bytes, serializing each answer object once.
+
+    Entries are keyed by id(answer) and hold a weak reference beside the
+    bytes; a hit counts only while that reference resolves to the same
+    object, so a reused id never returns another answer's bytes and no
+    answer is kept alive.
+    """
+    seen = {}
+
+    def answer_bytes(answer):
+        hit = seen.get(id(answer))
+        if hit is not None and hit[0]() is answer:
+            return hit[1]
+        blob = canonical_bytes(answer_to_json(answer))
+        seen[id(answer)] = (weakref.ref(answer), blob)
+        return blob
+
+    return answer_bytes
+
+
 @dataclass(frozen=True)
 class AuditVerdict:
     mode: str  # "exact" | "statistical"
@@ -210,6 +269,7 @@ def audit_exact(
             "fall back to audit_statistical"
         )
     sides = enumerate_side_info_sets(layout, cap=cap)
+    answer_bytes = _answer_serializer()
     query_bytes = set()
     distributions = {}
     for v in range(params.num_classes):
@@ -220,8 +280,7 @@ def audit_exact(
             counts = {}
             total = 0
             for choice in itertools.product(*spaces):
-                answer = server.answer_for(query, store, choice, v=v, side=side)
-                blob = canonical_bytes(answer_to_json(answer))
+                blob = answer_bytes(server.answer_for(query, store, choice, v=v, side=side))
                 counts[blob] = counts.get(blob, 0) + 1
                 total += 1
             key = tuple(sorted(counts.items()))
@@ -309,6 +368,7 @@ def audit_statistical(
     rng = as_rng(seed)
     blocks = max(1, min(blocks, trials))
     sizes = [trials // blocks + (1 if b < trials % blocks else 0) for b in range(blocks)]
+    answer_bytes = _answer_serializer()
     query_blobs = set()
     mi_sum = 0.0
     bias_sum = 0.0
@@ -327,7 +387,7 @@ def audit_statistical(
             qb = canonical_bytes(query_to_json(query))
             query_blobs.add(qb)
             digest = hashlib.blake2b(
-                qb + canonical_bytes(answer_to_json(answer)), digest_size=8
+                qb + answer_bytes(answer), digest_size=8
             ).digest()
             y = int.from_bytes(digest, "big") % buckets
             x = (v, side.label_set)
@@ -355,60 +415,70 @@ def audit_statistical(
     )
 
 
-def audit_fsi_query_exact(layout: DatabaseLayout, cap: int = 50_000) -> AuditVerdict:
+class FsiUser:
+    """Honest fsi user: the shipped fsi_query with its choices fixed."""
+
+    name = "fsi-user"
+
+    def query_for(self, v, side, class_sizes, choices):
+        return fsi_query(v, side, class_sizes, choices=choices)
+
+
+class FsiPinAllUser(FsiUser):
+    """Mutant: pins every side class when v holds none.
+
+    The dropped class is pinned to its smallest held position, so
+    known_count is eta when v holds no side information and eta - 1 when it
+    does, and the wire query reveals which case holds.
+    """
+
+    name = "fsi-pin-all"
+
+    def query_for(self, v, side, class_sizes, choices):
+        query = super().query_for(v, side, class_sizes, choices)
+        drop = choices[0]
+        if drop is None:
+            return query
+        picks = list(query.picks)
+        picks[drop] = min(p for i, p in side.label_set if i == drop)
+        flags = tuple(f or i == drop for i, f in enumerate(query.known_flags))
+        return replace(query, picks=tuple(picks), known_count=sum(flags), known_flags=flags)
+
+
+FSI_MUTANT_USERS = (FsiPinAllUser,)
+
+
+def audit_fsi_query_exact(
+    layout: DatabaseLayout, cap: int = 50_000, user: FsiUser | None = None
+) -> AuditVerdict:
     """V-invariance of the positional-scheme query distribution.
 
     The positional query necessarily depends on the held positions, so the
-    check marginalizes over the side-information prior and the scheme's
-    random picks: for each v, enumerate (S, drop choice, picks) with exact
-    weights and compare the resulting wire-query distributions across v.
+    check marginalizes over the side-information prior and the query's
+    random choices: for each v, enumerate (S, drop, picks) with exact
+    weights from fsi_choice_space, build each query through user.query_for
+    (the shipped fsi_query for the honest user) and compare the resulting
+    wire-query distributions across v.
     """
-    from fractions import Fraction as F
-
-    from .model import positional_side_info
-
+    user = user or FsiUser()
     params = layout.params
-    sides = enumerate_side_info_sets(layout, cap=cap)
-    side_weight = F(1, len(sides))
+    sides = [positional_side_info(layout, s) for s in enumerate_side_info_sets(layout, cap=cap)]
+    side_weight = Fraction(1, len(sides))
     dists = []
     for v in range(params.num_classes):
         dist = {}
         for side in sides:
-            pos_side = positional_side_info(layout, side)
-            positions = [set() for _ in range(params.num_classes)]
-            for i, p in pos_side.label_set:
-                positions[i].add(p)
-            side_classes = [i for i in range(params.num_classes) if positions[i]]
-            if v in side_classes:
-                drop_options = [None]
-            elif side_classes:
-                drop_options = side_classes
-            else:
-                drop_options = [None]
-            drop_weight = side_weight / len(drop_options)
-            for drop in drop_options:
-                pinned = [i for i in side_classes if i not in (v, drop)]
-                per_class = []
-                for i, mu in enumerate(params.class_sizes):
-                    if i == v:
-                        opts = [p for p in range(mu) if p not in positions[i]]
-                    elif i in pinned:
-                        opts = sorted(positions[i])
-                    else:
-                        opts = list(range(mu))
-                    per_class.append(opts)
-                pick_count = math.prod(len(o) for o in per_class)
-                w = drop_weight / pick_count
-                eta = max(len(side_classes), 1)
-                for picks in itertools.product(*per_class):
-                    query = Query(scheme="fsi", picks=picks, known_count=eta - 1)
+            space = fsi_choice_space(v, side, params.class_sizes)
+            for drop, _, options in space:
+                w = side_weight / len(space) / math.prod(len(o) for o in options)
+                for picks in itertools.product(*options):
+                    query = user.query_for(v, side, params.class_sizes, (drop, picks))
                     blob = canonical_bytes(query_to_json(query))
-                    dist[blob] = dist.get(blob, F(0)) + w
+                    dist[blob] = dist.get(blob, 0) + w
         dists.append(dist)
-    max_tv = F(0)
-    for a, b in itertools.combinations(range(len(dists)), 2):
-        keys = set(dists[a]) | set(dists[b])
-        tv = sum(abs(dists[a].get(x, F(0)) - dists[b].get(x, F(0))) for x in keys) / 2
+    max_tv = Fraction(0)
+    for a, b in itertools.combinations(dists, 2):
+        tv = sum(abs(a.get(x, 0) - b.get(x, 0)) for x in set(a) | set(b)) / 2
         max_tv = max(max_tv, tv)
     passed = max_tv == 0
     return AuditVerdict(
@@ -416,6 +486,6 @@ def audit_fsi_query_exact(layout: DatabaseLayout, cap: int = 50_000) -> AuditVer
         verdict="pass" if passed else "fail",
         query_invariant=passed,
         answer_tv_distance=max_tv,
-        server="fsi-user",
+        server=user.name,
         notes={"scope": "query-marginal-v-invariance"},
     )

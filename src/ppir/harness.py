@@ -103,12 +103,19 @@ CONFIG_SCHEMA = {
 }
 
 
-def auto_field_size(class_sizes, side_counts, demand: int = 1) -> int:
-    """Smallest prime covering every parity-branch code length."""
+def auto_field_size(class_sizes, side_counts, demand: int = 1, scheme: str = "usi") -> int:
+    """Smallest prime covering every parity-branch code length.
+
+    For fsi it also covers the joint code, of length 2*Gamma - eta + 1 with
+    eta = max(#classes with k_i > 0, 1).
+    """
     need = 2
     for mu, k in zip(class_sizes, side_counts):
         if k + demand >= mu - k:
             need = max(need, 2 * mu - k)
+    if scheme == "fsi":
+        eta = max(sum(1 for k in side_counts if k > 0), 1)
+        need = max(need, 2 * len(class_sizes) - eta + 1)
     return next_prime(need)
 
 
@@ -131,11 +138,11 @@ class ExperimentConfig:
     include_records: bool = True
 
 
-def grid_instances(grid: dict, msg_lens, demand: int):
+def grid_instances(grid: dict, msg_lens, demand: int, scheme: str = "usi"):
     """Deduplicated grid: sorted (size, count) multisets per class count.
 
     grid holds `num_classes` (a list) and `max_class_size`; every class of
-    every instance can yield `demand` new messages.
+    every instance can yield `demand` new messages, and q fits `scheme`.
     """
     out = []
     sizes = range(1, grid["max_class_size"] + 1)
@@ -146,7 +153,7 @@ def grid_instances(grid: dict, msg_lens, demand: int):
             side_counts = tuple(k for _, k in combo)
             if any(mu < k + demand for mu, k in combo):
                 continue
-            q = auto_field_size(class_sizes, side_counts, demand)
+            q = auto_field_size(class_sizes, side_counts, demand, scheme)
             for msg_len in msg_lens:
                 out.append(
                     InstanceParams(class_sizes, side_counts, msg_len=msg_len, q=q)
@@ -160,6 +167,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"config rejected: {exc.message}") from exc
     demand = doc.get("demand", 1)
+    scheme = doc.get("scheme", "usi")
     msg_len = doc.get("msg_len", 1)
     instances = []
     for item in doc.get("instances", []):
@@ -172,7 +180,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                     "the mixed-side-information regime has no constructive scheme; "
                     "use the capacity calculator's conjecture bounds instead"
                 )
-        q = item.get("q") or auto_field_size(class_sizes, side_counts, demand)
+        q = item.get("q") or auto_field_size(class_sizes, side_counts, demand, scheme)
         try:
             instances.append(
                 InstanceParams(
@@ -186,7 +194,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             raise ConfigError(str(exc)) from exc
     if "grid" in doc:
         instances.extend(
-            grid_instances(doc["grid"], doc["grid"].get("msg_len", [msg_len]), demand)
+            grid_instances(doc["grid"], doc["grid"].get("msg_len", [msg_len]), demand, scheme)
         )
     if not instances:
         raise ConfigError("no instances configured")
@@ -194,7 +202,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     fmt = doc.get("format", "json")
     return ExperimentConfig(
         instances=tuple(instances),
-        scheme=doc.get("scheme", "usi"),
+        scheme=scheme,
         demand=demand,
         num_desired=doc.get("num_desired", 1),
         trials=doc.get("trials", 100),

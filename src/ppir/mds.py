@@ -128,13 +128,14 @@ class SystematicMdsCode:
         """Reconstruct the codeword from >= k known (position, row) pairs.
 
         Raises InsufficientInformationError below k distinct positions and
-        CorruptionError when a symbol is outside [0, q), rows differ in
-        length, or over-determined input is inconsistent.
+        CorruptionError when a position is outside [0, n), a symbol is
+        outside [0, q), rows differ in length, or over-determined input is
+        inconsistent.
         """
         by_pos = {}
         for pos, row in known:
             if not 0 <= pos < self.n:
-                raise ValueError(f"position {pos} outside [0, {self.n})")
+                raise CorruptionError(f"position {pos} outside [0, {self.n})")
             row = tuple(row)
             if pos in by_pos and by_pos[pos] != row:
                 raise CorruptionError(f"conflicting rows supplied for position {pos}")

@@ -190,8 +190,9 @@ def decode_answer(
     """Recover every new message the answer yields, class by class.
 
     Raises ProtocolViolationError unless the answer covers exactly the
-    classes of the side information, each once, and each yields at least
-    `demand` new messages, so every class can serve as the desired one.
+    classes of the side information, each once, every parity payload
+    carries code_length - mu rows, and each class yields at least `demand`
+    new messages, so every class can serve as the desired one.
 
     side_values maps each side-information label pair to its held symbols.
     code_factory builds the (n, k, q) erasure code named by parity headers.
@@ -219,6 +220,11 @@ def decode_answer(
             idents = payload.identifier_order
             mu = len(idents)
             n = payload.code_length
+            if len(payload.symbols) != n - mu:
+                raise ProtocolViolationError(
+                    f"parity class {i} carries {len(payload.symbols)} rows, "
+                    f"its [{n}, {mu}] header needs {n - mu}"
+                )
             pos_of = {a: p for p, a in enumerate(idents)}
             mine = side.labels_in_class(i)
             known = []
@@ -263,51 +269,69 @@ def decode_answer(
 # --- fully identifiable side information -------------------------------------
 
 
-def fsi_query(v: int, side: SideInfo, class_sizes, seed=None) -> Query:
-    """Pick one position per class; side-information positions where known.
+def fsi_choice_space(v: int, side: SideInfo, class_sizes):
+    """fsi_query's random choices: a list of (drop, pinned, options).
 
-    side must be position-keyed (see model.positional_side_info).  The
-    number of pinned picks is eta - 1 with eta = max(#side classes, 1): when
+    One entry per side class the query may drop at random (a single entry
+    with drop None when it drops none); pinned flags the classes whose pick
+    is a held position, and options lists each class's allowed picks.  When
     the desired class holds side information the other side classes are
-    pinned, otherwise one side class is dropped at random so the pinned
-    count never depends on v.
+    pinned, otherwise one side class is dropped so the pinned count never
+    depends on v.
     """
-    rng = as_rng(seed)
     num_classes = len(class_sizes)
     positions = [set() for _ in range(num_classes)]
     for i, p in side.label_set:
         positions[i].add(p)
     side_classes = [i for i in range(num_classes) if positions[i]]
-    eta = max(len(side_classes), 1)
-    if v in side_classes:
-        pinned = [i for i in side_classes if i != v]
-    elif side_classes:
-        drop = rng.choice(side_classes)
-        pinned = [i for i in side_classes if i != drop]
+    if 0 <= v < num_classes and len(positions[v]) == class_sizes[v]:
+        raise ParameterError(
+            f"desired class {v} has no new message (size {class_sizes[v]}, all held)"
+        )
+    drops = side_classes if side_classes and v not in side_classes else [None]
+    space = []
+    for drop in drops:
+        pinned = tuple(i not in (v, drop) and bool(positions[i]) for i in range(num_classes))
+        options = tuple(
+            [p for p in range(mu) if p not in positions[i]] if i == v
+            else sorted(positions[i]) if pinned[i]
+            else range(mu)
+            for i, mu in enumerate(class_sizes)
+        )
+        space.append((drop, pinned, options))
+    return space
+
+
+def fsi_query(v: int, side: SideInfo, class_sizes, seed=None, choices=None) -> Query:
+    """Pick one position per class; side-information positions where known.
+
+    side must be position-keyed (see model.positional_side_info).  The
+    number of pinned picks is eta - 1 with eta = max(#side classes, 1); see
+    fsi_choice_space.  choices optionally fixes the random choices as
+    (drop, picks), one of the entries' drop and a pick from each of its
+    options; the exact privacy audit uses it to enumerate them instead of
+    sampling.
+    """
+    space = fsi_choice_space(v, side, class_sizes)
+    if choices is None:
+        # seeded queries feed report.json, so the draws keep their order:
+        # the drop (only when there is a choice), then one pick per class
+        rng = as_rng(seed)
+        drop, pinned, options = rng.choice(space) if space[0][0] is not None else space[0]
+        picks = tuple(rng.choice(opts) for opts in options)
     else:
-        pinned = []
-    picks = []
-    flags = []
-    for i, mu in enumerate(class_sizes):
-        if i == v:
-            fresh = [p for p in range(mu) if p not in positions[i]]
-            if not fresh:
-                raise ParameterError(
-                    f"desired class {v} has no new message (size {mu}, all held)"
-                )
-            picks.append(rng.choice(fresh))
-            flags.append(False)
-        elif i in pinned:
-            picks.append(rng.choice(sorted(positions[i])))
-            flags.append(True)
-        else:
-            picks.append(rng.randrange(mu))
-            flags.append(False)
+        drop, picks = choices
+        entry = next((e for e in space if e[0] == drop), None)
+        if entry is None or len(picks) != len(class_sizes) or any(
+            p not in opts for p, opts in zip(picks, entry[2])
+        ):
+            raise ParameterError(f"fsi choices {choices} are outside the query's choice space")
+        pinned, picks = entry[1], tuple(picks)
     return Query(
         scheme="fsi",
-        picks=tuple(picks),
-        known_count=eta - 1,
-        known_flags=tuple(flags),
+        picks=picks,
+        known_count=sum(pinned),
+        known_flags=pinned,
     )
 
 

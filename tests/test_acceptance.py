@@ -214,7 +214,8 @@ def test_criterion_6_sandwich_bound():
 
 
 def test_criterion_7_privacy(acceptance_grid):
-    cap = 20_000
+    # covers the largest grid instance, (5,5,5)/(1,1,1) with 375k enumerations
+    cap = 400_000
     audited = skipped = 0
     ok = True
     for params in acceptance_grid:
@@ -241,6 +242,7 @@ def test_criterion_7_privacy(acceptance_grid):
     big_layout = build_layout(big, 25)
     stat = audit_statistical(big_layout, 10_000, 26)
     ok = ok and stat.passed and stat.mi_estimate < stat.mi_threshold
+    ok = ok and skipped == 0
     _report(
         7,
         ok,

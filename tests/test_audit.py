@@ -6,15 +6,37 @@ from conftest import make_world
 from ppir.audit import (
     ClassBiasedServer,
     ClassTagServer,
+    FSI_MUTANT_USERS,
     MUTANT_SERVERS,
     SideParityDropServer,
+    UsiServer,
+    _answer_serializer,
     audit_exact,
     audit_fsi_query_exact,
     audit_statistical,
     exact_audit_work,
 )
 from ppir.errors import EnumerationCapError, ParameterError
-from ppir.model import InstanceParams, build_layout
+from ppir.model import InstanceParams, build_layout, random_store, sample_side_info
+from ppir.protocol import Answer, usi_answer, usi_query
+from ppir.wire import answer_to_json, canonical_bytes
+
+
+class ReferenceServer(UsiServer):
+    """Honest server without the memo: one usi_answer per call."""
+
+    def answer_for(self, query, store, choice, v=None, side=None):
+        return usi_answer(query, store, selections=choice)
+
+
+class LeakyServer(UsiServer):
+    """Memoized honest answer, then v tagged into the extras."""
+
+    name = "leaky-after-memo"
+
+    def answer_for(self, query, store, choice, v=None, side=None):
+        answer = super().answer_for(query, store, choice, v=v, side=side)
+        return Answer(answer.q, answer.msg_len, answer.payloads, answer.extras + (("v", v),))
 
 
 def test_exact_audit_honest_mixed_branches():
@@ -47,6 +69,64 @@ def test_exact_audit_tv_values():
     assert audit_exact(store, server=ClassTagServer()).answer_tv_distance == 1
     drop = audit_exact(store, server=SideParityDropServer())
     assert drop.answer_tv_distance == 1  # row counts differ deterministically
+
+
+@pytest.mark.parametrize(
+    "class_sizes, side_counts",
+    [
+        ((5, 4, 3), (1, 0, 0)),  # uncoded-heavy: 120 selections per query
+        ((5, 5, 3), (2, 3, 1)),  # parity-heavy: every class coded
+        ((4, 2), (0, 1)),
+    ],
+)
+def test_memoized_server_matches_reference(class_sizes, side_counts):
+    params, layout, store, _, _ = make_world(class_sizes, side_counts, seed=14)
+    memo = audit_exact(store)
+    assert memo.passed
+    assert memo.to_json() == audit_exact(store, server=ReferenceServer()).to_json()
+
+
+def test_memoized_server_matches_reference_statistical():
+    params = InstanceParams((10, 10), (8, 0), msg_len=1, q=13)
+    layout = build_layout(params, 11)
+    memo = audit_statistical(layout, 2_000, 15)
+    reference = audit_statistical(layout, 2_000, 15, server=ReferenceServer())
+    assert memo.passed and memo.to_json() == reference.to_json()
+
+
+def test_server_reused_across_stores():
+    params = InstanceParams((5, 4), (1, 2), q=7)
+    layout = build_layout(params, 16)
+    first, second = random_store(layout, 17), random_store(layout, 18)
+    assert first.messages != second.messages
+    server = UsiServer()
+    for store in (first, second):
+        assert audit_exact(store, server=server).to_json() == audit_exact(store).to_json()
+    query = usi_query(0, sample_side_info(layout, 19))
+    choice = tuple(space[0] for space in server.choice_space(query, layout))
+    reused = server.answer_for(query, second, choice)
+    assert reused == usi_answer(query, second, selections=choice)
+    assert reused != usi_answer(query, first, selections=choice)
+    assert server.answer_for(query, second, choice) is reused
+
+
+def test_leak_added_after_memo_still_fails():
+    # guards the memo staying inside the honest server: a subclass that
+    # reuses the honest answer and then leaks v must still be caught
+    params, layout, store, _, _ = make_world((4, 2), (0, 1), seed=3)
+    verdict = audit_exact(store, server=LeakyServer())
+    assert not verdict.passed and verdict.answer_tv_distance == 1
+
+
+def test_answer_serializer_follows_object_identity():
+    # fresh answers die at once, so their ids are reused; every call must
+    # still return the bytes of the object it was given
+    answer_bytes = _answer_serializer()
+    kept = Answer(q=3, msg_len=1, payloads=(), extras=(("t", -1),))
+    for tag in range(200):
+        answer = Answer(q=3, msg_len=1, payloads=(), extras=(("t", tag),))
+        assert answer_bytes(answer) == canonical_bytes(answer_to_json(answer))
+        assert answer_bytes(kept) is answer_bytes(kept)
 
 
 def test_exact_audit_cap_points_to_statistical():
@@ -113,3 +193,13 @@ def test_fsi_query_marginal_v_invariance():
         verdict = audit_fsi_query_exact(layout)
         assert verdict.passed, (class_sizes, side_counts)
         assert verdict.answer_tv_distance == 0
+
+
+def test_fsi_mutant_fails_where_v_can_avoid_side_classes():
+    for class_sizes, side_counts in [((2, 2, 2), (1, 1, 0)), ((3, 2), (1, 0))]:
+        params, layout, _, _, _ = make_world(class_sizes, side_counts, seed=13, q=13)
+        assert audit_fsi_query_exact(layout).passed
+        for cls in FSI_MUTANT_USERS:
+            verdict = audit_fsi_query_exact(layout, user=cls())
+            assert not verdict.passed, (cls.name, class_sizes)
+            assert verdict.answer_tv_distance > 0 and verdict.server == cls.name

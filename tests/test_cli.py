@@ -173,6 +173,44 @@ def test_replay_command_inconsistent_answer(tmp_path, capsys):
     assert "class 1 twice" in err and "Traceback" not in err
 
 
+def test_replay_command_extra_parity_row(tmp_path, capsys):
+    from conftest import make_world
+    from ppir.protocol import usi_answer, usi_query
+    from ppir.wire import answer_to_json, query_to_json, side_to_json
+
+    params, layout, store, side, values = make_world((3, 3), (1, 1), seed=2)
+    query = usi_query(0, side)
+    doc = answer_to_json(usi_answer(query, store, 3))
+    rows = doc["payloads"][0]["symbols"]
+    rows.append(rows[0])  # one row past the [5, 3] header's two
+    (tmp_path / "q.json").write_text(json.dumps(query_to_json(query)))
+    (tmp_path / "a.json").write_text(json.dumps(doc))
+    (tmp_path / "s.json").write_text(json.dumps(side_to_json(side, values)))
+    code, out, err = run_cli(
+        capsys,
+        "replay",
+        "--query", str(tmp_path / "q.json"),
+        "--answer", str(tmp_path / "a.json"),
+        "--side", str(tmp_path / "s.json"),
+    )
+    assert code == 2 and out == ""
+    assert "carries 3 rows" in err and "Traceback" not in err
+
+
+def test_run_command_fsi_default_field_size(tmp_path, capsys):
+    # q used to default to 3, too small for the [5, 3] joint code
+    config = tmp_path / "fsi.yaml"
+    config.write_text(
+        "scheme: fsi\ntrials: 5\n"
+        "instances:\n  - class_sizes: [2, 2, 2]\n    side_counts: [1, 1, 0]\n"
+    )
+    code, out, err = run_cli(capsys, "run", str(config), "--out", str(tmp_path / "out"))
+    assert code == 0, err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["all_passed"]
+    assert report["instances"][0]["q"] == 5
+
+
 def test_replay_command_bad_file(tmp_path, capsys):
     (tmp_path / "q.json").write_text(json.dumps({"format": "wrong"}))
     (tmp_path / "a.json").write_text("{}")

@@ -26,6 +26,13 @@ def test_auto_field_size():
     assert auto_field_size((3, 3), (1, 1)) == 5  # [5,3] codes
     assert auto_field_size((5, 5), (2, 2)) == 11  # [8,5] codes
     assert auto_field_size((4, 4), (1, 1), demand=2) == 7
+    # fsi also needs the [2*Gamma - eta + 1, Gamma] joint code
+    assert auto_field_size((2, 2, 2), (1, 1, 0)) == 3
+    assert auto_field_size((2, 2, 2), (1, 1, 0), scheme="fsi") == 5  # [5, 3]
+    assert auto_field_size((4, 2), (1, 0), scheme="fsi") == 5  # [4, 2]
+    assert auto_field_size((4, 4, 4), (0, 0, 0), scheme="fsi") == 7  # eta = 1: [6, 3]
+    # where the class codes already need more, q does not move
+    assert auto_field_size((5, 5), (2, 2), scheme="fsi") == 11
 
 
 def test_trial_seeds_are_stable_and_distinct():

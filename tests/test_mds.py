@@ -105,6 +105,14 @@ def test_decode_inconsistent_errors():
             code.erasure_decode([(0, (0,) * length), (0, (1,) * length), (1, cw[1])])
 
 
+def test_decode_position_outside_code_is_corruption():
+    code = make_mds(4, 2, 5)
+    cw = code.encode([(1,), (2,)])
+    for pos in (-1, 4, 9):
+        with pytest.raises(CorruptionError, match="position"):
+            code.erasure_decode([(0, cw[0]), (1, cw[1]), (pos, cw[2])])
+
+
 @pytest.mark.parametrize("length", LENGTHS)
 @pytest.mark.parametrize("bad", [-5, 2**40, 5])
 def test_symbols_outside_field_are_corruption(length, bad):

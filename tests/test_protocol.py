@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -27,6 +29,7 @@ from ppir.protocol import (
     decode_answer,
     download_cost,
     fsi_answer,
+    fsi_choice_space,
     fsi_decode,
     fsi_query,
     usi_answer,
@@ -174,6 +177,25 @@ def test_decode_truncated_parity_payload():
     answer = usi_answer(usi_query(0, side), store, 7)
     with pytest.raises(ProtocolViolationError):
         decode_answer(Answer(answer.q, answer.msg_len, answer.payloads[:-1]), side, values)
+
+
+def test_decode_rejects_parity_row_count_off_header():
+    # one extra parity row used to reach mds as an untyped ValueError
+    params, _, store, side, values = make_world((3, 3), (1, 1))
+    answer = usi_answer(usi_query(0, side), store, 7)
+    first = answer.payloads[0]
+    for symbols in (first.symbols + first.symbols[:1], first.symbols[:1], ()):
+        payload = ClassPayload(
+            class_id=first.class_id,
+            mode=first.mode,
+            labels=first.labels,
+            identifier_order=first.identifier_order,
+            code_length=first.code_length,
+            symbols=symbols,
+        )
+        bad = Answer(answer.q, answer.msg_len, (payload,) + answer.payloads[1:])
+        with pytest.raises(ProtocolViolationError, match="carries"):
+            decode_answer(bad, side, values)
 
 
 def test_decode_rejects_duplicate_class_payload():
@@ -325,6 +347,28 @@ def test_fsi_no_fresh_position_rejected():
     side = SideInfo((2, 0), ((0, 0), (0, 1)), ())
     with pytest.raises(ParameterError):
         fsi_query(0, side, (2, 2), 1)
+
+
+def test_fsi_choices_reproduce_seeded_queries():
+    # every seeded query is one the explicit choices can name, with the
+    # same known count and flags; choices outside the space are refused
+    params, layout, store, pos_side, values = _fsi_world((3, 2, 3), (1, 0, 1), q=7)
+    for v in range(3):
+        space = fsi_choice_space(v, pos_side, params.class_sizes)
+        named = {
+            fsi_query(v, pos_side, params.class_sizes, choices=(drop, picks))
+            for drop, _, options in space
+            for picks in itertools.product(*options)
+        }
+        assert len(named) == sum(math.prod(map(len, o)) for _, _, o in space)
+        for seed in range(30):
+            assert fsi_query(v, pos_side, params.class_sizes, seed) in named
+    assert [drop for drop, _, _ in fsi_choice_space(1, pos_side, (3, 2, 3))] == [0, 2]
+    # dropping class 0 pins class 2 to its one held position
+    free = min({0, 1, 2} - {p for i, p in pos_side.label_set if i == 2})
+    for bad in ((None, (0, 0, 0)), (0, (0, 0)), (0, (0, 0, free)), (1, (0, 0, 0))):
+        with pytest.raises(ParameterError, match="choice space"):
+            fsi_query(1, pos_side, params.class_sizes, choices=bad)
 
 
 def test_fsi_field_too_small():
