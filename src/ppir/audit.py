@@ -100,11 +100,6 @@ class UsiServer:
             answer = self._memo[key] = usi_answer(query, store, selections=choice)
         return answer
 
-    def answer_random(self, query, store, rng, v=None, side=None):
-        spaces = self.choice_space(query, store.layout)
-        choice = tuple(space[rng.randrange(len(space))] for space in spaces)
-        return self.answer_for(query, store, choice, v=v, side=side)
-
 
 class ClassBiasedServer(UsiServer):
     """Mutant: pins the desired class's uncoded selection instead of sampling."""

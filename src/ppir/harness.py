@@ -24,7 +24,7 @@ import jsonschema
 import yaml
 
 from . import picod
-from .audit import audit_exact, audit_statistical
+from .audit import audit_exact, audit_fsi_query_exact, audit_statistical
 from .errors import ConfigError, EnumerationCapError, ParameterError, SearchBudgetError
 from .fields import next_prime
 from .model import (
@@ -168,6 +168,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"config rejected: {exc.message}") from exc
     demand = doc.get("demand", 1)
     scheme = doc.get("scheme", "usi")
+    if scheme == "fsi" and doc.get("audit") == "statistical":
+        raise ConfigError(
+            "scheme fsi has no statistical audit; use audit: exact (query marginal) or off"
+        )
     msg_len = doc.get("msg_len", 1)
     instances = []
     for item in doc.get("instances", []):
@@ -367,9 +371,12 @@ def _audit_section(params: InstanceParams, config: ExperimentConfig, seed: int) 
     rng = as_rng(seed)
     layout = build_layout(params, rng)
     if config.audit_mode == "exact":
-        store = random_store(layout, rng)
         try:
-            verdict = audit_exact(store, cap=config.audit_cap, demand=config.demand)
+            if config.scheme == "fsi":
+                verdict = audit_fsi_query_exact(layout, cap=config.audit_cap)
+            else:
+                store = random_store(layout, rng)
+                verdict = audit_exact(store, cap=config.audit_cap, demand=config.demand)
         except EnumerationCapError as exc:
             return {"skipped": str(exc)}
         doc = verdict.to_json()

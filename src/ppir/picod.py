@@ -18,10 +18,24 @@ set types whose overlap with the already-collected decoded indices grows,
 collecting one provably-decodable fresh index per step; each step and the
 final rank claim are verified by independent rank checks, so a walker bug
 cannot produce an unsound certificate.
+
+One span kernel serves every decodability question.  `_insert` adds one
+vector to a reduced echelon basis of (pivot, row) pairs, and u_j lies in the
+span exactly when j is a pivot whose row has no other nonzero entry.
+`_decodable_set` splits a matrix's coordinates into blocks joined by column
+supports (a scheme answer is block-diagonal by class), answers each block
+on its own and memoizes the answer on the matrix, so the client checks, the
+certificate walk and its verification share the eliminations.  The
+exhaustive search visits column combinations in the lexicographic order of
+itertools.combinations; each client keeps the bases of the current prefix,
+so a candidate costs one insertion per client checked, and the checks stop
+at the first unsatisfied client.  `linalg.echelon` stays the independent
+rank check behind `EncodingMatrix.rank`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -58,6 +72,30 @@ class EncodingMatrix:
 
     def rank(self) -> int:
         return linalg.rank(make_field(self.q), [list(c) for c in self.columns])
+
+    @functools.cached_property
+    def _span_blocks(self):
+        """Column blocks and the memo of their decodable sets.
+
+        Two coordinates share a block when some column's support joins them,
+        so every nonzero column lies in one block and the span is the direct
+        sum of the block spans.  Returns ((coords, columns) per block, memo);
+        the memo maps (block index, kept coordinates) to the block's
+        decodable indices.
+        """
+        groups = []  # (coordinates, columns) of the blocks found so far
+        for col in self.columns:
+            coords = {i for i, x in enumerate(col) if x}
+            if not coords:
+                continue
+            cols = [col]
+            for group in [g for g in groups if g[0] & coords]:
+                groups.remove(group)
+                coords |= group[0]
+                cols = group[1] + cols
+            groups.append((coords, cols))
+        groups.sort(key=lambda g: min(g[0]))
+        return [(tuple(sorted(c)), tuple(cols)) for c, cols in groups], {}
 
     def to_json(self) -> dict:
         return {
@@ -156,19 +194,59 @@ def generic_min_field_size(num_messages: int) -> int:
 # --- decodability checks -----------------------------------------------------
 
 
+def _insert(field, basis, vec):
+    """Add vec to a reduced echelon basis of (pivot, row) pairs.
+
+    Returns basis itself when vec already lies in its span.  Otherwise vec is
+    reduced by the basis, scaled so its leading entry is one, and cleared
+    from the other rows; every pivot stays its row's leading entry, so the
+    result is the unique reduced echelon form of the enlarged span.
+    """
+    for p, row in basis:
+        c = vec[p]
+        if c:
+            vec = field.row_addmul(vec, row, field.neg(c))
+    lead = next(filter(vec.__getitem__, range(len(vec))), None)
+    if lead is None:
+        return basis
+    if vec[lead] != 1:
+        vec = field.row_scale(vec, field.inv(vec[lead]))
+    out = [
+        (p, field.row_addmul(row, vec, field.neg(row[lead])) if row[lead] else row)
+        for p, row in basis
+    ]
+    out.append((lead, vec))
+    return tuple(out)
+
+
+def _unit_pivots(basis):
+    """Pivots whose row is a unit vector: the coordinates in the span."""
+    return [p for p, row in basis if len(row) - row.count(0) == 1]
+
+
 def _decodable_set(matrix: EncodingMatrix, side_set) -> set:
     """Indices outside side_set that a client holding side_set can recover.
 
     Dropping the side coordinates turns the question into u_m in the row
     space of the restricted broadcasts.  In reduced echelon form u_j lies in
     the row space exactly when column j is a pivot whose row has no other
-    nonzero entry, so one elimination answers every index at once.
+    nonzero entry.  The span is the direct sum of the block spans, so each
+    block is answered on its own and memoized on the matrix.
     """
     side = set(side_set)
-    keep = [i for i in range(matrix.num_messages) if i not in side]
-    vectors = [[col[i] for i in keep] for col in matrix.columns]
-    ech, pivots = linalg.echelon(make_field(matrix.q), vectors)
-    return {keep[p] for row, p in zip(ech, pivots) if len(row) - row.count(0) == 1}
+    field = make_field(matrix.q)
+    blocks, memo = matrix._span_blocks
+    found = set()
+    for b, (coords, columns) in enumerate(blocks):
+        keep = tuple(itertools.filterfalse(side.__contains__, coords))
+        hit = memo.get((b, keep))
+        if hit is None:
+            basis = ()
+            for col in columns:
+                basis = _insert(field, basis, [col[i] for i in keep])
+            hit = memo[b, keep] = tuple(keep[p] for p in _unit_pivots(basis))
+        found.update(hit)
+    return found
 
 
 def decodable(m: int, matrix: EncodingMatrix, side_set) -> bool:
@@ -180,7 +258,7 @@ def _decodable_map(matrix: EncodingMatrix, side_set, instance: PicodInstance):
     """First decodable new index per class for one client, None if none."""
     found = _decodable_set(matrix, side_set)
     return tuple(
-        next((m for m in members if m in found), None)
+        next(filter(found.__contains__, members), None)
         for members in instance.class_members
     )
 
@@ -298,6 +376,45 @@ class SearchResult:
         }
 
 
+class _PrefixSpans:
+    """One client's side of the search: the points restricted to its kept
+    coordinates, each once and on first use, and the echelon bases of the
+    current column prefix."""
+
+    def __init__(self, instance: PicodInstance, side_set, points):
+        side = set(side_set)
+        self.keep = [i for i in range(instance.num_messages) if i not in side]
+        class_of = {m: j for j, members in enumerate(instance.class_members) for m in members}
+        self.classes = [class_of[i] for i in self.keep]
+        self.demand = instance.demand_classes
+        self.points = points
+        self.restricted = {}
+        self.prefix = ()
+        self.bases = [()]  # bases[d]: span of the first d prefix columns
+
+    def _column(self, i):
+        vec = self.restricted.get(i)
+        if vec is None:
+            point = self.points[i]
+            vec = self.restricted[i] = [point[j] for j in self.keep]
+        return vec
+
+    def satisfied(self, field, prefix, last) -> bool:
+        if prefix != self.prefix:
+            d = 0
+            for old, new in zip(self.prefix, prefix):
+                if old != new:
+                    break
+                d += 1
+            del self.bases[d + 1:]
+            for i in prefix[d:]:
+                self.bases.append(_insert(field, self.bases[-1], self._column(i)))
+            self.prefix = prefix
+        basis = _insert(field, self.bases[-1], self._column(last))
+        classes = self.classes
+        return len({classes[p] for p in _unit_pivots(basis)}) >= self.demand
+
+
 def min_code_length_bruteforce(
     instance: PicodInstance,
     l_max: int,
@@ -306,16 +423,24 @@ def min_code_length_bruteforce(
 ) -> SearchResult:
     """Smallest l for which some f x l matrix satisfies every client.
 
-    Scans canonical column subsets for l = 1..l_max.  `budget` bounds the
-    number of candidate matrices examined; exceeding it raises
-    SearchBudgetError carrying the lengths already exhausted.
+    Scans canonical column subsets for l = 1..l_max in the lexicographic
+    order of itertools.combinations.  Each client keeps the bases of the
+    current prefix, so a candidate costs one insertion per client checked,
+    and the checks stop at the first unsatisfied client.  `budget` bounds
+    the number of candidate matrices examined; exceeding it raises
+    SearchBudgetError carrying the lengths already exhausted.  The points
+    are listed only once length 1 fits the budget, so an instance far past
+    it fails at once instead of listing (q^f - 1)/(q - 1) vectors.
     """
     family = instance.side_family(cap)
-    points = _projective_points(instance.q, instance.num_messages)
+    q, f = instance.q, instance.num_messages
+    num_points = (q**f - 1) // (q - 1)
+    field = make_field(q)
+    points = clients = None
     examined = 0
     exhausted = []
     for l in range(1, l_max + 1):
-        level_size = math.comb(len(points), l)
+        level_size = math.comb(num_points, l)
         if examined + level_size > budget:
             raise SearchBudgetError(
                 f"searching length {l} needs {level_size} candidates, "
@@ -323,11 +448,15 @@ def min_code_length_bruteforce(
                 exhausted_lengths=exhausted,
                 examined=examined,
             )
-        for combo in itertools.combinations(points, l):
+        if points is None:
+            points = _projective_points(q, f)
+            clients = [_PrefixSpans(instance, side, points) for side in family]
+        for combo in itertools.combinations(range(num_points), l):
             examined += 1
-            matrix = EncodingMatrix(combo, instance.q)
-            if all(client_satisfied(matrix, side, instance) for side in family):
-                return SearchResult(True, l, matrix, examined, tuple(exhausted))
+            prefix, last = combo[:-1], combo[-1]
+            if all(client.satisfied(field, prefix, last) for client in clients):
+                witness = EncodingMatrix(tuple(points[i] for i in combo), q)
+                return SearchResult(True, l, witness, examined, tuple(exhausted))
         exhausted.append(l)
     return SearchResult(False, None, None, examined, tuple(exhausted))
 

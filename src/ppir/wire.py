@@ -9,6 +9,7 @@ deterministic.  Symbols serialize as plain integers in [0, q).
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 from .errors import WireFormatError
 from .model import DatabaseLayout, InstanceParams, MessageStore, SideInfo
@@ -167,18 +168,22 @@ def side_from_json(doc: dict):
     _expect(doc, SIDE_FORMAT)
     try:
         labels = tuple((int(i), int(a)) for i, a in doc["labels"])
-        values = {
-            lab: tuple(int(s) for s in row)
-            for lab, row in zip(labels, doc["messages"])
-        }
-        side = SideInfo(
-            per_class_counts=tuple(int(k) for k in doc["per_class_counts"]),
-            label_set=labels,
-            _indices=(),
-        )
-        return side, values
+        messages = [tuple(int(s) for s in row) for row in doc["messages"]]
+        counts = tuple(int(k) for k in doc["per_class_counts"])
     except (KeyError, TypeError, ValueError) as exc:
         raise WireFormatError(f"malformed side-information document: {exc}") from exc
+    if len(messages) != len(labels):
+        raise WireFormatError(
+            f"side-information document has {len(messages)} messages for {len(labels)} labels"
+        )
+    if len(set(labels)) != len(labels):
+        raise WireFormatError("side-information document repeats a label")
+    if Counter(i for i, _ in labels) != Counter({i: k for i, k in enumerate(counts) if k}):
+        raise WireFormatError(
+            f"per_class_counts {list(counts)} contradict the labels' class counts"
+        )
+    side = SideInfo(per_class_counts=counts, label_set=labels, _indices=())
+    return side, dict(zip(labels, messages))
 
 
 # --- database (layout + store) ---------------------------------------------------

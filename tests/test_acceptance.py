@@ -137,26 +137,34 @@ def test_criterion_3_capacity_endpoints(grid_run):
 
 
 def test_criterion_4_converse_oracle_tightness():
-    cases = [((2, 2), (1, 1), 2), ((2, 2), (0, 0), 2), ((3, 2), (1, 0), 3)]
+    # every shape with f <= 5 over GF(2) and f <= 4 over GF(3): the exhaustive
+    # minimum equals the closed form, and the witness carries a certificate
+    from conftest import compositions
+
     ok = True
-    details = []
-    for class_sizes, side_counts, want in cases:
-        for q in (2, 3):
-            instance = instance_from_params(
-                InstanceParams(class_sizes, side_counts, q=q)
-            )
-            started = time.perf_counter()
-            result = min_code_length_bruteforce(instance, want)
-            elapsed = time.perf_counter() - started
-            hit = (
-                result.found
-                and result.min_length == want
-                and broadcast_lower_bound(instance) == want
-                and elapsed < 60
-            )
-            ok = ok and hit
-            details.append(f"{class_sizes}/{side_counts} GF({q})={result.min_length} ({elapsed:.1f}s)")
-    _report(4, ok, "; ".join(details))
+    checked = 0
+    first_bad = None
+    started = time.perf_counter()
+    for q, f_max in ((2, 5), (3, 4)):
+        for f in range(2, f_max + 1):
+            for gamma in range(2, f + 1):
+                for sizes in compositions(f, gamma):
+                    for counts in itertools.product(*[range(mu) for mu in sizes]):
+                        instance = instance_from_params(InstanceParams(sizes, counts, q=q))
+                        want = broadcast_lower_bound(instance)
+                        result = min_code_length_bruteforce(instance, want)
+                        hit = result.found and result.min_length == want
+                        if hit:
+                            cert = rank_lower_bound_certificate(result.witness, instance)
+                            hit = cert.ok and cert.rank_floor == want == result.witness.rank()
+                        ok = ok and hit
+                        checked += 1
+                        if not hit and first_bad is None:
+                            first_bad = f"{sizes}/{counts} GF({q})={result.min_length}"
+    elapsed = time.perf_counter() - started
+    ok = ok and checked == 96 and elapsed < 60
+    detail = f"{checked} shapes, minimum = bound and certified ({elapsed:.1f}s)"
+    _report(4, ok, detail if first_bad is None else f"{detail}; first miss {first_bad}")
 
 
 def test_criterion_5_scheme_meets_converse(acceptance_grid):

@@ -197,6 +197,44 @@ def test_replay_command_extra_parity_row(tmp_path, capsys):
     assert "carries 3 rows" in err and "Traceback" not in err
 
 
+def test_replay_command_malformed_side(tmp_path, capsys):
+    from conftest import make_world
+    from ppir.protocol import usi_answer, usi_query
+    from ppir.wire import answer_to_json, query_to_json, side_to_json
+
+    params, layout, store, side, values = make_world((3, 3), (1, 1), seed=2)
+    query = usi_query(0, side)
+    (tmp_path / "q.json").write_text(json.dumps(query_to_json(query)))
+    (tmp_path / "a.json").write_text(json.dumps(answer_to_json(usi_answer(query, store, 3))))
+
+    def short_messages(doc):
+        doc["messages"] = doc["messages"][:1]
+
+    def repeated_label(doc):
+        doc["labels"][1] = doc["labels"][0]
+
+    def wrong_counts(doc):
+        doc["per_class_counts"] = [2, 0]
+
+    for mutate, reason in (
+        (short_messages, "1 messages for 2 labels"),
+        (repeated_label, "repeats a label"),
+        (wrong_counts, "contradict"),
+    ):
+        doc = side_to_json(side, values)
+        mutate(doc)
+        (tmp_path / "s.json").write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys,
+            "replay",
+            "--query", str(tmp_path / "q.json"),
+            "--answer", str(tmp_path / "a.json"),
+            "--side", str(tmp_path / "s.json"),
+        )
+        assert code == 2 and out == ""
+        assert reason in err and "Traceback" not in err
+
+
 def test_run_command_fsi_default_field_size(tmp_path, capsys):
     # q used to default to 3, too small for the [5, 3] joint code
     config = tmp_path / "fsi.yaml"

@@ -161,6 +161,32 @@ def test_run_experiment_audit_section():
     assert report["instances"][0]["audit"]["verdict"] == "pass"
 
 
+def test_run_experiment_fsi_audit_is_the_query_audit():
+    # an fsi run audits fsi_query, not the usi server it never uses
+    doc = {
+        "scheme": "fsi",
+        "trials": 2,
+        "audit": "exact",
+        "instances": [{"class_sizes": [3, 2], "side_counts": [1, 0]}],
+    }
+    report, ok = run_experiment(config_from_dict(doc))
+    assert ok
+    section = report["instances"][0]["audit"]
+    assert section["server"] == "fsi-user"
+    assert section["scope"] == "query-marginal-v-invariance"
+    assert section["verdict"] == "pass"
+
+
+def test_config_rejects_fsi_statistical_audit():
+    doc = {
+        "scheme": "fsi",
+        "audit": "statistical",
+        "instances": [{"class_sizes": [3, 2], "side_counts": [1, 0]}],
+    }
+    with pytest.raises(ConfigError, match="no statistical audit"):
+        config_from_dict(doc)
+
+
 def test_load_config_yaml(tmp_path):
     path = tmp_path / "config.yaml"
     path.write_text(

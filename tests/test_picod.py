@@ -1,15 +1,22 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_world
 from ppir.errors import EnumerationCapError, ParameterError, SearchBudgetError
+from ppir.fields import make_field
 from ppir.harness import grid_instances
 from ppir.model import InstanceParams
 from ppir.picod import (
     EncodingMatrix,
     PicodInstance,
+    SearchResult,
+    _decodable_set,
+    _insert,
+    _projective_points,
+    _unit_pivots,
     all_clients_satisfied,
     answer_to_encoding_matrix,
     broadcast_lower_bound,
@@ -253,23 +260,131 @@ def test_decodable_yields_explicit_linear_decoder():
     assert checked > 0
 
 
+@st.composite
+def _structured_matrices(draw):
+    """Random matrices that are block-diagonal after a coordinate shuffle,
+    with zero columns and coordinates that no column covers."""
+    q = draw(st.sampled_from([2, 3, 4]))
+    f = draw(st.integers(1, 6))
+    order = draw(st.permutations(range(f)))
+    cuts = sorted(draw(st.sets(st.integers(1, f - 1)))) if f > 1 else []
+    bounds = [0, *cuts, f]
+    uncovered = draw(st.sets(st.integers(0, f - 1), max_size=2))
+    columns = []
+    for a, b in zip(bounds, bounds[1:]):
+        for _ in range(draw(st.integers(0, 3))):
+            col = [0] * f
+            for i in order[a:b]:
+                if i not in uncovered:
+                    col[i] = draw(st.integers(0, q - 1))
+            columns.append(tuple(col))
+    columns += [(0,) * f] * draw(st.integers(0 if columns else 1, 2))
+    return EncodingMatrix(tuple(draw(st.permutations(columns))), q)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_decodable_matches_explicit_solve_random_matrices(data):
-    # both directions on small random matrices over prime and binary fields
-    q = data.draw(st.sampled_from([2, 3, 4]))
-    f = data.draw(st.integers(1, 5))
-    length = data.draw(st.integers(1, 4))
-    columns = data.draw(
-        st.lists(
-            st.tuples(*[st.integers(0, q - 1)] * f), min_size=length, max_size=length
+    # both directions on small random matrices over prime and binary fields,
+    # dense or block-diagonal; many side sets on one matrix object reuse its
+    # per-block memo, and must answer as a fresh object does
+    if data.draw(st.booleans()):
+        q = data.draw(st.sampled_from([2, 3, 4]))
+        f = data.draw(st.integers(1, 5))
+        length = data.draw(st.integers(1, 4))
+        columns = data.draw(
+            st.lists(
+                st.tuples(*[st.integers(0, q - 1)] * f), min_size=length, max_size=length
+            )
         )
+        matrix = EncodingMatrix(tuple(columns), q)
+    else:
+        matrix = data.draw(_structured_matrices())
+    f = matrix.num_messages
+    side_sets = data.draw(
+        st.lists(st.sets(st.integers(0, f - 1)), min_size=1, max_size=8)
     )
-    side_set = tuple(sorted(data.draw(st.sets(st.integers(0, f - 1)))))
-    matrix = EncodingMatrix(tuple(columns), q)
-    for m in range(f):
-        combo = _explicit_decoding_combination(matrix, side_set, m)
-        assert decodable(m, matrix, side_set) == (combo is not None)
+    for side_set in side_sets + side_sets[:2]:
+        side_set = tuple(sorted(side_set))
+        fresh = EncodingMatrix(matrix.columns, matrix.q)
+        for m in range(f):
+            combo = _explicit_decoding_combination(matrix, side_set, m)
+            assert decodable(m, matrix, side_set) == (combo is not None)
+            assert decodable(m, fresh, side_set) == (combo is not None)
+
+
+def test_span_blocks_follow_column_supports():
+    # coordinates 0 and 3 are joined by a column, 1 stands alone, 2 and 4
+    # are covered by no column; zero columns belong to no block
+    cols = ((1, 0, 0, 2, 0), (0, 0, 0, 0, 0), (0, 1, 0, 0, 0), (2, 0, 0, 0, 0))
+    matrix = EncodingMatrix(cols, 3)
+    blocks, memo = matrix._span_blocks
+    assert blocks == [((0, 3), (cols[0], cols[3])), ((1,), (cols[2],))]
+    assert _decodable_set(matrix, ()) == {0, 1, 3}
+    assert _decodable_set(matrix, (0,)) == {1, 3}
+    assert _decodable_set(matrix, (1, 2)) == {0, 3}
+    assert memo == {(0, (0, 3)): (0, 3), (1, (1,)): (1,), (0, (3,)): (3,), (1, ()): ()}
+
+
+def test_insert_keeps_reduced_echelon_form():
+    field = make_field(5)
+    basis = _insert(field, (), [0, 2, 4, 1])
+    assert basis == ((1, [0, 1, 2, 3]),)
+    assert _insert(field, basis, [0, 3, 1, 4]) is basis  # already in the span
+    basis = _insert(field, basis, [1, 1, 0, 0])
+    basis = _insert(field, basis, [0, 0, 0, 2])
+    assert sorted(basis) == [(0, [1, 0, 3, 0]), (1, [0, 1, 2, 0]), (3, [0, 0, 0, 1])]
+    assert sorted(_unit_pivots(basis)) == [3]
+
+
+def _reference_search(instance, l_max, budget):
+    """The plain search: every combination, every client checked afresh."""
+    family = instance.side_family()
+    points = _projective_points(instance.q, instance.num_messages)
+    examined = 0
+    exhausted = []
+    for l in range(1, l_max + 1):
+        if examined + math.comb(len(points), l) > budget:
+            return "budget", examined, tuple(exhausted)
+        for combo in itertools.combinations(points, l):
+            examined += 1
+            matrix = EncodingMatrix(combo, instance.q)
+            if all(client_satisfied(matrix, side, instance) for side in family):
+                return SearchResult(True, l, matrix, examined, tuple(exhausted)).to_json()
+        exhausted.append(l)
+    return SearchResult(False, None, None, examined, tuple(exhausted)).to_json()
+
+
+def test_bruteforce_matches_reference_search():
+    # every shape with f <= 4 over GF(2), GF(3) and GF(4), every demand, one
+    # length short of the bound and at it: same witness, examined count and
+    # exhausted lengths, or the same budget error
+    from conftest import compositions
+
+    budget = 20_000
+    compared = over_budget = 0
+    for q in (2, 3, 4):
+        for f in range(2, 5):
+            for gamma in range(2, f + 1):
+                for sizes in compositions(f, gamma):
+                    for counts in itertools.product(*[range(mu) for mu in sizes]):
+                        for t in range(1, gamma + 1):
+                            if sum(counts) > f - t:
+                                continue
+                            instance = inst(sizes, counts, q=q, t=t)
+                            bound = broadcast_lower_bound(instance)
+                            for l_max in (bound - 1, bound):
+                                want = _reference_search(instance, l_max, budget)
+                                try:
+                                    got = min_code_length_bruteforce(
+                                        instance, l_max, budget=budget
+                                    ).to_json()
+                                except SearchBudgetError as err:
+                                    got = "budget", err.examined, err.exhausted_lengths
+                                    over_budget += 1
+                                assert got == want, (sizes, counts, q, t, l_max)
+                                compared += 1
+    assert compared == 330 and over_budget > 0
 
 
 def test_bruteforce_budget_error_with_partial_progress():
@@ -278,6 +393,21 @@ def test_bruteforce_budget_error_with_partial_progress():
         min_code_length_bruteforce(instance, 3, budget=200)
     assert err.value.exhausted_lengths == (1,)
     assert err.value.examined > 0
+
+
+def test_bruteforce_budget_checked_before_listing_points(monkeypatch):
+    # (5,5)/(2,1) over GF(11) has (11^10 - 1)/10 projective points; listing
+    # them would take gigabytes, so the budget must refuse length 1 first
+    import ppir.picod as picod
+
+    def listed(q, f):
+        raise AssertionError("points listed past the budget")
+
+    monkeypatch.setattr(picod, "_projective_points", listed)
+    with pytest.raises(SearchBudgetError) as err:
+        min_code_length_bruteforce(inst((5, 5), (2, 1), q=11), 3)
+    assert err.value.exhausted_lengths == () and err.value.examined == 0
+    assert "needs 2593742460 candidates" in str(err.value)
 
 
 def test_certificate_scheme_answer_case1():

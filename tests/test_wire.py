@@ -71,6 +71,42 @@ def test_side_round_trip():
     assert back_values == values
 
 
+def _side_doc():
+    _, _, _, side, values = make_world((3, 3), (1, 1))
+    return side_to_json(side, values)
+
+
+def test_side_rejects_message_count_mismatch():
+    # one message for two labels used to reach decode_answer as a KeyError
+    doc = _side_doc()
+    doc["messages"] = doc["messages"][:1]
+    with pytest.raises(WireFormatError, match="1 messages for 2 labels"):
+        side_from_json(doc)
+    doc = _side_doc()
+    doc["messages"].append(doc["messages"][0])
+    with pytest.raises(WireFormatError, match="3 messages for 2 labels"):
+        side_from_json(doc)
+
+
+def test_side_rejects_repeated_label():
+    doc = _side_doc()
+    doc["labels"][1] = list(doc["labels"][0])
+    with pytest.raises(WireFormatError, match="repeats a label"):
+        side_from_json(doc)
+
+
+def test_side_rejects_counts_contradicting_labels():
+    for counts in ([2, 0], [1, 1, 1], [1], [1, -1]):
+        doc = _side_doc()
+        doc["per_class_counts"] = counts
+        with pytest.raises(WireFormatError, match="contradict"):
+            side_from_json(doc)
+    doc = _side_doc()
+    doc["labels"][1][0] = 2  # a class outside per_class_counts
+    with pytest.raises(WireFormatError, match="contradict"):
+        side_from_json(doc)
+
+
 def test_database_round_trip():
     params, layout, store, _, _ = make_world((3, 2), (1, 0), msg_len=3)
     doc = database_to_json(store)
