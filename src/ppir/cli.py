@@ -3,7 +3,10 @@
 Subcommands: run (experiment config), capacity (rate calculators), oracle
 (bounds, brute-force minimum length, certificate), audit (privacy), replay
 (decode serialized wire files).  Exit codes: 0 pass, 1 assertion failure,
-2 configuration or format error, which covers every error `replay` raises.
+2 configuration or format error, which covers every error `replay` raises,
+3 internal error (an exception that is not a `PpirError`, reported on one
+line).  Each subcommand imports only the modules it uses, so `capacity`
+starts without loading the protocol, oracle, audit or config machinery.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ import argparse
 import json
 import sys
 
-from . import picod
-from .audit import MUTANT_SERVERS, audit_exact, audit_statistical
 from .errors import (
     ConfigError,
     EnumerationCapError,
@@ -21,27 +22,19 @@ from .errors import (
     SearchBudgetError,
     WireFormatError,
 )
-from .harness import (
-    auto_field_size,
-    load_config,
-    replay,
-    report_csv,
-    run_experiment,
-    write_report,
-)
-from .model import InstanceParams, build_layout, random_store
-from .rates import msi_rate_bounds, rate_report
 
 
-def _int_list(text: str):
+def int_list(text: str):
+    """argparse type for "3,3": a malformed list is a usage error (exit 2)."""
     return tuple(int(x) for x in text.split(",") if x != "")
 
 
-def _params_from_args(args) -> InstanceParams:
-    class_sizes = _int_list(args.class_sizes)
-    side_counts = _int_list(args.side_counts)
-    q = args.q or auto_field_size(class_sizes, side_counts, getattr(args, "demand", 1))
-    return InstanceParams(class_sizes, side_counts, msg_len=args.msg_len, q=q)
+def _params_from_args(args):
+    from .model import InstanceParams
+    from .protocol import auto_field_size
+
+    q = args.q or auto_field_size(args.class_sizes, args.side_counts)
+    return InstanceParams(args.class_sizes, args.side_counts, msg_len=args.msg_len, q=q)
 
 
 def _emit(doc: dict, args) -> None:
@@ -49,6 +42,8 @@ def _emit(doc: dict, args) -> None:
 
 
 def cmd_run(args) -> int:
+    from .harness import load_config, report_csv, run_experiment, write_report
+
     config = load_config(args.config)
     overrides = {}
     if args.seed is not None:
@@ -77,8 +72,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_capacity(args) -> int:
-    class_sizes = _int_list(args.class_sizes)
-    side_counts = _int_list(args.side_counts)
+    from .rates import msi_rate_bounds, rate_report
+
+    class_sizes, side_counts = args.class_sizes, args.side_counts
     if any(mu == k for mu, k in zip(class_sizes, side_counts)):
         identified = sum(1 for mu, k in zip(class_sizes, side_counts) if mu == k)
         lo, hi = msi_rate_bounds(
@@ -107,6 +103,8 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import picod
+
     params = _params_from_args(args)
     t = args.t or params.num_classes
     inst = picod.instance_from_params(params, demand_classes=t)
@@ -146,6 +144,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from .audit import MUTANT_SERVERS, audit_exact, audit_statistical
+    from .model import build_layout, random_store
+
     params = _params_from_args(args)
     layout = build_layout(params, args.seed)
     server = None
@@ -175,6 +176,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    from .harness import replay
+
     result = replay(args.query, args.answer, args.side, desired=args.desired)
     _emit(
         {
@@ -206,16 +209,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_cap = sub.add_parser("capacity", help="exact rate calculators")
-    p_cap.add_argument("--class-sizes", required=True)
-    p_cap.add_argument("--side-counts", required=True)
+    p_cap.add_argument("--class-sizes", type=int_list, required=True)
+    p_cap.add_argument("--side-counts", type=int_list, required=True)
     p_cap.add_argument("--identified", type=int, default=None)
     p_cap.add_argument("--demand", type=int, default=1)
     p_cap.add_argument("--num-desired", type=int, default=1)
     p_cap.set_defaults(func=cmd_capacity)
 
     p_oracle = sub.add_parser("oracle", help="converse bounds and brute-force search")
-    p_oracle.add_argument("--class-sizes", required=True)
-    p_oracle.add_argument("--side-counts", required=True)
+    p_oracle.add_argument("--class-sizes", type=int_list, required=True)
+    p_oracle.add_argument("--side-counts", type=int_list, required=True)
     p_oracle.add_argument("--q", type=int, default=None)
     p_oracle.add_argument("--msg-len", type=int, default=1)
     p_oracle.add_argument("--t", type=int, default=None)
@@ -225,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_audit = sub.add_parser("audit", help="privacy audit")
-    p_audit.add_argument("--class-sizes", required=True)
-    p_audit.add_argument("--side-counts", required=True)
+    p_audit.add_argument("--class-sizes", type=int_list, required=True)
+    p_audit.add_argument("--side-counts", type=int_list, required=True)
     p_audit.add_argument("--q", type=int, default=None)
     p_audit.add_argument("--msg-len", type=int, default=1)
     p_audit.add_argument("--mode", choices=["exact", "statistical"], default="exact")
@@ -257,6 +260,9 @@ def main(argv=None) -> int:
         if isinstance(exc, (ConfigError, WireFormatError)) or args.func is cmd_replay:
             return 2
         return 1
+    except Exception as exc:  # a bug, not bad input: one line, not a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

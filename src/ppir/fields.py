@@ -236,22 +236,9 @@ class FiniteField:
             return f"GF({self.q})"
         return f"GF(2^{self.q.bit_length() - 1})"
 
-    def to_json(self) -> dict:
-        if self.modulus is None:
-            return {"q": self.q}
-        return {"q": self.q, "modulus": self.modulus}
-
 
 @lru_cache(maxsize=None)
 def make_field(q: int) -> FiniteField:
     """Field factory; returns a shared instance per order."""
     return FiniteField(q)
 
-
-def field_from_json(doc: dict) -> FiniteField:
-    field = make_field(int(doc["q"]))
-    if "modulus" in doc and field.modulus != int(doc["modulus"]):
-        raise FieldConstructionError(
-            f"modulus {doc['modulus']} is not the canonical one for q={doc['q']}"
-        )
-    return field

@@ -20,13 +20,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-import jsonschema
 import yaml
 
-from . import picod
-from .audit import audit_exact, audit_fsi_query_exact, audit_statistical
-from .errors import ConfigError, EnumerationCapError, ParameterError, SearchBudgetError
-from .fields import next_prime
+from .errors import (
+    ConfigError,
+    EnumerationCapError,
+    ParameterError,
+    SearchBudgetError,
+    WireFormatError,
+)
 from .model import (
     InstanceParams,
     as_rng,
@@ -38,6 +40,7 @@ from .model import (
 )
 from .protocol import (
     achieved_rate,
+    auto_field_size,
     decode_answer,
     download_cost,
     expected_download_rows,
@@ -50,73 +53,95 @@ from .protocol import (
 from .rates import fsi_rate, multi_rate, usi_capacity
 from .wire import answer_from_json, query_from_json, side_from_json
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "seed": {"type": "integer", "minimum": 0},
-        "scheme": {"enum": ["usi", "fsi", "musi"]},
-        "demand": {"type": "integer", "minimum": 1},
-        "num_desired": {"type": "integer", "minimum": 1},
-        "trials": {"type": "integer", "minimum": 0},
-        "msg_len": {"type": "integer", "minimum": 1},
-        "instances": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["class_sizes", "side_counts"],
-                "properties": {
-                    "class_sizes": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 2},
-                    "side_counts": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-                    "q": {"type": "integer", "minimum": 2},
-                    "msg_len": {"type": "integer", "minimum": 1},
+def _integer(minimum):
+    def check(value, path):
+        # bool is an int subclass and 2.0 compares equal to 2; neither is an integer here
+        if type(value) is not int or value < minimum:
+            raise ConfigError(f"{path} must be an integer >= {minimum}, got {value!r}")
+
+    return check
+
+
+def _typed(kind, name):
+    def check(value, path):
+        if type(value) is not kind:
+            raise ConfigError(f"{path} must be {name}, got {value!r}")
+
+    return check
+
+
+def _one_of(*choices):
+    def check(value, path):
+        if value not in choices:
+            raise ConfigError(f"{path} must be one of {list(choices)}, got {value!r}")
+
+    return check
+
+
+def _list_of(item, min_items=0):
+    def check(value, path):
+        if type(value) is not list or len(value) < min_items:
+            raise ConfigError(f"{path} must be a list of at least {min_items} items, got {value!r}")
+        for i, element in enumerate(value):
+            item(element, f"{path}[{i}]")
+
+    return check
+
+
+def _mapping(fields, required=()):
+    def check(value, path):
+        if type(value) is not dict:
+            raise ConfigError(f"{path} must be a mapping, got {value!r}")
+        prefix = "" if path == "config" else path + "."
+        for key in value:
+            if key not in fields:
+                raise ConfigError(f"{prefix}{key} is not a known key")
+        for key in required:
+            if key not in value:
+                raise ConfigError(f"{prefix}{key} is required")
+        for key, element in value.items():
+            fields[key](element, prefix + key)
+
+    return check
+
+
+_BOOL = _typed(bool, "true or false")
+_CHECK_CONFIG = _mapping(
+    {
+        "seed": _integer(0),
+        "scheme": _one_of("usi", "fsi", "musi"),
+        "demand": _integer(1),
+        "num_desired": _integer(1),
+        "trials": _integer(0),
+        "msg_len": _integer(1),
+        "instances": _list_of(
+            _mapping(
+                {
+                    "class_sizes": _list_of(_integer(1), min_items=2),
+                    "side_counts": _list_of(_integer(0)),
+                    "q": _integer(2),
+                    "msg_len": _integer(1),
                 },
+                required=("class_sizes", "side_counts"),
+            )
+        ),
+        "grid": _mapping(
+            {
+                "num_classes": _list_of(_integer(2)),
+                "max_class_size": _integer(1),
+                "msg_len": _list_of(_integer(1)),
             },
-        },
-        "grid": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "num_classes": {"type": "array", "items": {"type": "integer", "minimum": 2}},
-                "max_class_size": {"type": "integer", "minimum": 1},
-                "msg_len": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-            },
-            "required": ["num_classes", "max_class_size"],
-        },
-        "oracle": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "enabled": {"type": "boolean"},
-                "budget": {"type": "integer", "minimum": 1},
-                "l_max": {"type": "integer", "minimum": 1},
-            },
-        },
-        "audit": {"enum": ["off", "exact", "statistical"]},
-        "audit_trials": {"type": "integer", "minimum": 1},
-        "audit_cap": {"type": "integer", "minimum": 1},
-        "output": {"type": "string"},
-        "format": {"enum": ["json", "csv", "both"]},
-        "include_records": {"type": "boolean"},
-    },
-}
-
-
-def auto_field_size(class_sizes, side_counts, demand: int = 1, scheme: str = "usi") -> int:
-    """Smallest prime covering every parity-branch code length.
-
-    For fsi it also covers the joint code, of length 2*Gamma - eta + 1 with
-    eta = max(#classes with k_i > 0, 1).
-    """
-    need = 2
-    for mu, k in zip(class_sizes, side_counts):
-        if k + demand >= mu - k:
-            need = max(need, 2 * mu - k)
-    if scheme == "fsi":
-        eta = max(sum(1 for k in side_counts if k > 0), 1)
-        need = max(need, 2 * len(class_sizes) - eta + 1)
-    return next_prime(need)
+            required=("num_classes", "max_class_size"),
+        ),
+        "oracle": _mapping({"enabled": _BOOL, "budget": _integer(1), "l_max": _integer(1)}),
+        "audit": _one_of("off", "exact", "statistical"),
+        "audit_trials": _integer(1),
+        "audit_cap": _integer(1),
+        "output": _typed(str, "a string"),
+        "format": _one_of("json", "csv", "both"),
+        "include_records": _BOOL,
+    }
+)
 
 
 @dataclass(frozen=True)
@@ -162,10 +187,7 @@ def grid_instances(grid: dict, msg_lens, demand: int, scheme: str = "usi"):
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    try:
-        jsonschema.validate(doc, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config rejected: {exc.message}") from exc
+    _CHECK_CONFIG(doc, "config")
     demand = doc.get("demand", 1)
     scheme = doc.get("scheme", "usi")
     if scheme == "fsi" and doc.get("audit") == "statistical":
@@ -174,7 +196,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         )
     msg_len = doc.get("msg_len", 1)
     instances = []
-    for item in doc.get("instances", []):
+    for n, item in enumerate(doc.get("instances", [])):
         class_sizes = tuple(item["class_sizes"])
         side_counts = tuple(item["side_counts"])
         for mu, k in zip(class_sizes, side_counts):
@@ -186,29 +208,38 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                 )
         q = item.get("q") or auto_field_size(class_sizes, side_counts, demand, scheme)
         try:
-            instances.append(
-                InstanceParams(
-                    class_sizes,
-                    side_counts,
-                    msg_len=item.get("msg_len", msg_len),
-                    q=q,
-                )
+            params = InstanceParams(
+                class_sizes, side_counts, msg_len=item.get("msg_len", msg_len), q=q
             )
         except ParameterError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"instances[{n}]: {exc}") from exc
+        for i, (mu, k) in enumerate(zip(class_sizes, side_counts)):
+            # fsi retrieves one message whatever the demand
+            if scheme != "fsi" and mu - k < demand:
+                raise ConfigError(
+                    f"instances[{n}]: class {i} of size {mu} with {k} held leaves "
+                    f"{mu - k} new messages, below demand {demand}"
+                )
+        instances.append(params)
     if "grid" in doc:
         instances.extend(
             grid_instances(doc["grid"], doc["grid"].get("msg_len", [msg_len]), demand, scheme)
         )
     if not instances:
         raise ConfigError("no instances configured")
+    num_desired = doc.get("num_desired", 1)
+    fewest = min(p.num_classes for p in instances)
+    if scheme == "musi" and num_desired > fewest:
+        raise ConfigError(
+            f"num_desired {num_desired} exceeds the {fewest} classes of an instance"
+        )
     oracle = doc.get("oracle", {})
     fmt = doc.get("format", "json")
     return ExperimentConfig(
         instances=tuple(instances),
         scheme=scheme,
         demand=demand,
-        num_desired=doc.get("num_desired", 1),
+        num_desired=num_desired,
         trials=doc.get("trials", 100),
         master_seed=doc.get("seed", 0),
         oracle_enabled=oracle.get("enabled", False),
@@ -224,10 +255,11 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        doc = yaml.safe_load(fh)
-    if not isinstance(doc, dict):
-        raise ConfigError("config file must hold a mapping")
+    try:
+        with open(path) as fh:
+            doc = yaml.safe_load(fh)
+    except (OSError, yaml.YAMLError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return config_from_dict(doc)
 
 
@@ -330,6 +362,8 @@ def run_trial(params: InstanceParams, seed: int, scheme: str, demand: int, num_d
 
 
 def _oracle_section(params: InstanceParams, config: ExperimentConfig, seed: int) -> dict:
+    from . import picod
+
     inst = picod.instance_from_params(params)
     lower = picod.broadcast_lower_bound(inst)
     upper = picod.broadcast_upper_bound(
@@ -368,6 +402,8 @@ def _oracle_section(params: InstanceParams, config: ExperimentConfig, seed: int)
 
 
 def _audit_section(params: InstanceParams, config: ExperimentConfig, seed: int) -> dict:
+    from .audit import audit_exact, audit_fsi_query_exact, audit_statistical
+
     rng = as_rng(seed)
     layout = build_layout(params, rng)
     if config.audit_mode == "exact":
@@ -492,14 +528,19 @@ def write_report(report: dict, out_dir, formats) -> list:
     return written
 
 
+def _read_json(path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+        raise WireFormatError(f"cannot read {path}: {exc}") from exc
+
+
 def replay(query_path, answer_path, side_path, desired: int | None = None):
     """Deterministically re-decode serialized wire files."""
-    with open(query_path) as fh:
-        query = query_from_json(json.load(fh))
-    with open(answer_path) as fh:
-        answer = answer_from_json(json.load(fh))
-    with open(side_path) as fh:
-        side, values = side_from_json(json.load(fh))
+    query = query_from_json(_read_json(query_path))
+    answer = answer_from_json(_read_json(answer_path))
+    side, values = side_from_json(_read_json(side_path))
     if query.scheme == "fsi":
         if desired is None:
             raise ParameterError("fsi replay needs the desired class")

@@ -38,6 +38,7 @@ from .errors import (
     ProtocolViolationError,
     UnsupportedParametersError,
 )
+from .fields import next_prime
 from .mds import make_mds
 from .model import MessageStore, SideInfo, as_rng
 
@@ -107,6 +108,22 @@ def expected_download_rows(class_sizes, side_counts, demand: int = 1) -> int:
     return sum(
         min(k + demand, mu - k) for mu, k in zip(class_sizes, side_counts)
     )
+
+
+def auto_field_size(class_sizes, side_counts, demand: int = 1, scheme: str = "usi") -> int:
+    """Smallest prime covering every parity-branch code length.
+
+    For fsi it also covers the joint code, of length 2*Gamma - eta + 1 with
+    eta = max(#classes with k_i > 0, 1).
+    """
+    need = 2
+    for mu, k in zip(class_sizes, side_counts):
+        if k + demand >= mu - k:
+            need = max(need, 2 * mu - k)
+    if scheme == "fsi":
+        eta = max(sum(1 for k in side_counts if k > 0), 1)
+        need = max(need, 2 * len(class_sizes) - eta + 1)
+    return next_prime(need)
 
 
 # --- unidentified side information -----------------------------------------

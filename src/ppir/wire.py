@@ -12,14 +12,12 @@ import json
 from collections import Counter
 
 from .errors import WireFormatError
-from .model import DatabaseLayout, InstanceParams, MessageStore, SideInfo
+from .model import SideInfo
 from .protocol import Answer, ClassPayload, JointPayload, Query
 
 QUERY_FORMAT = "ppir.query/1"
 ANSWER_FORMAT = "ppir.answer/1"
 SIDE_FORMAT = "ppir.side/1"
-DATABASE_FORMAT = "ppir.database/1"
-CODE_FORMAT = "ppir.code/1"
 
 
 def canonical_bytes(doc: dict) -> bytes:
@@ -184,58 +182,3 @@ def side_from_json(doc: dict):
         )
     side = SideInfo(per_class_counts=counts, label_set=labels, _indices=())
     return side, dict(zip(labels, messages))
-
-
-# --- database (layout + store) ---------------------------------------------------
-
-
-def database_to_json(store: MessageStore) -> dict:
-    layout = store.layout
-    p = layout.params
-    return {
-        "format": DATABASE_FORMAT,
-        "params": {
-            "class_sizes": list(p.class_sizes),
-            "side_counts": list(p.side_counts),
-            "msg_len": p.msg_len,
-            "q": p.q,
-        },
-        "class_of": list(layout.class_of),
-        "positions": [list(m) for m in layout.class_members],
-        "labels": [list(l) for l in layout.labels],
-        "messages": [list(r) for r in store.messages],
-    }
-
-
-def database_from_json(doc: dict) -> MessageStore:
-    _expect(doc, DATABASE_FORMAT)
-    try:
-        p = doc["params"]
-        params = InstanceParams(
-            class_sizes=tuple(int(m) for m in p["class_sizes"]),
-            side_counts=tuple(int(k) for k in p["side_counts"]),
-            msg_len=int(p["msg_len"]),
-            q=int(p["q"]),
-        )
-        layout = DatabaseLayout(
-            params=params,
-            class_members=tuple(tuple(int(m) for m in c) for c in doc["positions"]),
-            labels=tuple(tuple(int(a) for a in c) for c in doc["labels"]),
-        )
-        messages = tuple(tuple(int(s) for s in r) for r in doc["messages"])
-        return MessageStore(layout, messages)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WireFormatError(f"malformed database document: {exc}") from exc
-
-
-# --- generator matrices ------------------------------------------------------------
-
-
-def code_to_json(code) -> dict:
-    return {
-        "format": CODE_FORMAT,
-        "n": code.n,
-        "k": code.k,
-        "q": code.field.q,
-        "generator": [list(r) for r in code.generator],
-    }

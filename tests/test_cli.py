@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ppir.cli import main
 
 
@@ -98,10 +100,17 @@ def test_run_command(tmp_path, capsys):
 
 def test_run_command_config_error(tmp_path, capsys):
     config = tmp_path / "bad.yaml"
-    config.write_text("instances:\n  - class_sizes: [2]\n    side_counts: [0]\n")
-    code, _, err = run_cli(capsys, "run", str(config))
-    assert code == 2
-    assert "error" in err
+    for text in (
+        "instances:\n  - class_sizes: [2]\n    side_counts: [0]\n",
+        "instances: [\n",  # not YAML
+        "",  # no mapping
+    ):
+        config.write_text(text)
+        code, _, err = run_cli(capsys, "run", str(config))
+        assert code == 2
+        assert err.startswith("error:")
+    code, _, err = run_cli(capsys, "run", str(tmp_path / "missing.yaml"))
+    assert code == 2 and err.startswith("error: cannot read config")
 
 
 def test_replay_command(tmp_path, capsys):
@@ -250,14 +259,60 @@ def test_run_command_fsi_default_field_size(tmp_path, capsys):
 
 
 def test_replay_command_bad_file(tmp_path, capsys):
-    (tmp_path / "q.json").write_text(json.dumps({"format": "wrong"}))
     (tmp_path / "a.json").write_text("{}")
     (tmp_path / "s.json").write_text("{}")
+    for query in (json.dumps({"format": "wrong"}), "{not json", b"\xff\xfe"):
+        if isinstance(query, bytes):
+            (tmp_path / "q.json").write_bytes(query)
+        else:
+            (tmp_path / "q.json").write_text(query)
+        code, _, err = run_cli(
+            capsys,
+            "replay",
+            "--query", str(tmp_path / "q.json"),
+            "--answer", str(tmp_path / "a.json"),
+            "--side", str(tmp_path / "s.json"),
+        )
+        assert code == 2 and err.startswith("error:")
     code, _, err = run_cli(
         capsys,
         "replay",
-        "--query", str(tmp_path / "q.json"),
+        "--query", str(tmp_path / "missing.json"),
         "--answer", str(tmp_path / "a.json"),
         "--side", str(tmp_path / "s.json"),
     )
-    assert code == 2
+    assert code == 2 and err.startswith("error: cannot read")
+
+
+def test_run_command_demand_above_unheld_count_is_config_error(tmp_path, capsys):
+    # class 2 of (2,2,2)/(0,0,1) has one unheld message; demand 2 used to fail
+    # mid-run with exit 1, the code for a failed check
+    config = tmp_path / "musi.yaml"
+    config.write_text(
+        "scheme: musi\ndemand: 2\ntrials: 3\n"
+        "instances:\n  - class_sizes: [2, 2, 2]\n    side_counts: [0, 0, 1]\n"
+    )
+    code, out, err = run_cli(capsys, "run", str(config))
+    assert code == 2 and out == ""
+    assert err.startswith("error: instances[0]: class 2") and "Traceback" not in err
+
+
+def test_escaped_exception_is_an_internal_error(monkeypatch, capsys):
+    from ppir import rates
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("rate table corrupted")
+
+    monkeypatch.setattr(rates, "rate_report", broken)
+    code, out, err = run_cli(
+        capsys, "capacity", "--class-sizes", "3,3", "--side-counts", "1,1"
+    )
+    assert code == 3 and out == ""
+    assert err == "internal error: RuntimeError: rate table corrupted\n"
+
+
+def test_malformed_int_list_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["capacity", "--class-sizes", "3,x", "--side-counts", "1,1"])
+    assert info.value.code == 2
+    assert "invalid int_list value: '3,x'" in capsys.readouterr().err

@@ -7,7 +7,6 @@ from ppir.errors import FieldConstructionError
 from ppir.fields import (
     PRIMALITY_LIMIT,
     canonical_modulus,
-    field_from_json,
     is_prime,
     make_field,
     next_prime,
@@ -93,14 +92,6 @@ def test_dot_product_both_kinds():
     for x, y in zip([1, 5, 7], [3, 2, 6]):
         want ^= f8.mul(x, y)
     assert f8.dot([1, 5, 7], [3, 2, 6]) == want
-
-
-def test_serialization_round_trip():
-    for q in (5, 8):
-        f = make_field(q)
-        assert field_from_json(f.to_json()) is f
-    with pytest.raises(FieldConstructionError):
-        field_from_json({"q": 8, "modulus": 0b1101})
 
 
 def test_shared_instances_and_next_prime():

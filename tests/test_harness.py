@@ -55,6 +55,127 @@ def test_config_validation_errors():
         )
 
 
+_VALID = {"instances": [{"class_sizes": [3, 3], "side_counts": [1, 1]}]}
+
+
+def _with(path, value):
+    """A copy of _VALID with the key at path (a tuple of keys and indices) set."""
+    doc = json.loads(json.dumps(_VALID))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+def _without(path):
+    doc = _with(path, None)
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    del node[last]
+    return doc
+
+
+_GRID = {"num_classes": [2], "max_class_size": 2}
+
+# one rejected config per validation rule; the third column is the key path
+# the error message names
+_REJECTED = [
+    ("root not a mapping", [_VALID], "config"),
+    ("unknown top-level key", _with(("unknown_key",), 1), "unknown_key"),
+    ("seed type", _with(("seed",), "7"), "seed"),
+    ("seed minimum", _with(("seed",), -1), "seed"),
+    ("scheme enum", _with(("scheme",), "pir"), "scheme"),
+    ("demand type", _with(("demand",), "2"), "demand"),
+    ("demand minimum", _with(("demand",), 0), "demand"),
+    ("num_desired minimum", _with(("num_desired",), 0), "num_desired"),
+    ("trials type", _with(("trials",), [1]), "trials"),
+    ("trials minimum", _with(("trials",), -1), "trials"),
+    ("msg_len minimum", _with(("msg_len",), 0), "msg_len"),
+    ("instances type", _with(("instances",), {"class_sizes": [3, 3]}), "instances"),
+    ("instance type", _with(("instances", 0), [3, 3]), "instances[0]"),
+    ("instance unknown key", _with(("instances", 0, "size"), 3), "instances[0].size"),
+    ("instance missing class_sizes", _without(("instances", 0, "class_sizes")), "instances[0].class_sizes"),
+    ("instance missing side_counts", _without(("instances", 0, "side_counts")), "instances[0].side_counts"),
+    ("class_sizes type", _with(("instances", 0, "class_sizes"), "3,3"), "instances[0].class_sizes"),
+    ("class_sizes minItems", _with(("instances", 0, "class_sizes"), [3]), "instances[0].class_sizes"),
+    ("class size type", _with(("instances", 0, "class_sizes", 1), "3"), "instances[0].class_sizes[1]"),
+    ("class size minimum", _with(("instances", 0, "class_sizes", 1), 0), "instances[0].class_sizes[1]"),
+    ("side_counts type", _with(("instances", 0, "side_counts"), 1), "instances[0].side_counts"),
+    ("side count minimum", _with(("instances", 0, "side_counts", 0), -1), "instances[0].side_counts[0]"),
+    ("q type", _with(("instances", 0, "q"), "5"), "instances[0].q"),
+    ("q bool", _with(("instances", 0, "q"), True), "instances[0].q"),
+    ("q minimum", _with(("instances", 0, "q"), 1), "instances[0].q"),
+    ("instance msg_len minimum", _with(("instances", 0, "msg_len"), 0), "instances[0].msg_len"),
+    ("grid type", _with(("grid",), [2, 3]), "grid"),
+    ("grid unknown key", _with(("grid",), {**_GRID, "q": 5}), "grid.q"),
+    ("grid missing num_classes", _with(("grid",), {"max_class_size": 2}), "grid.num_classes"),
+    ("grid missing max_class_size", _with(("grid",), {"num_classes": [2]}), "grid.max_class_size"),
+    ("grid num_classes type", _with(("grid",), {**_GRID, "num_classes": 2}), "grid.num_classes"),
+    ("grid num_classes minimum", _with(("grid",), {**_GRID, "num_classes": [2, 1]}), "grid.num_classes[1]"),
+    ("grid max_class_size minimum", _with(("grid",), {**_GRID, "max_class_size": 0}), "grid.max_class_size"),
+    ("grid msg_len type", _with(("grid",), {**_GRID, "msg_len": 1}), "grid.msg_len"),
+    ("grid msg_len minimum", _with(("grid",), {**_GRID, "msg_len": [0]}), "grid.msg_len[0]"),
+    ("oracle type", _with(("oracle",), True), "oracle"),
+    ("oracle unknown key", _with(("oracle",), {"enable": True}), "oracle.enable"),
+    ("oracle enabled type", _with(("oracle",), {"enabled": 1}), "oracle.enabled"),
+    ("oracle budget minimum", _with(("oracle",), {"budget": 0}), "oracle.budget"),
+    ("oracle l_max minimum", _with(("oracle",), {"l_max": 0}), "oracle.l_max"),
+    ("audit enum", _with(("audit",), "full"), "audit"),
+    ("audit_trials minimum", _with(("audit_trials",), 0), "audit_trials"),
+    ("audit_cap minimum", _with(("audit_cap",), 0), "audit_cap"),
+    ("output type", _with(("output",), 3), "output"),
+    ("format enum", _with(("format",), "xml"), "format"),
+    ("include_records type", _with(("include_records",), "yes"), "include_records"),
+    # integral floats: a schema "integer" used to accept them
+    ("seed float", _with(("seed",), 1.0), "seed"),
+    ("trials float", _with(("trials",), 2.0), "trials"),
+    ("msg_len float", _with(("msg_len",), 2.0), "msg_len"),
+    ("demand float", _with(("demand",), 1.0), "demand"),
+    ("class size float", _with(("instances", 0, "class_sizes", 0), 3.0), "instances[0].class_sizes[0]"),
+    ("side count float", _with(("instances", 0, "side_counts", 1), 1.0), "instances[0].side_counts[1]"),
+    ("q float", _with(("instances", 0, "q"), 5.0), "instances[0].q"),
+    ("grid max_class_size float", _with(("grid",), {**_GRID, "max_class_size": 2.0}), "grid.max_class_size"),
+    ("oracle budget float", _with(("oracle",), {"budget": 1e6}), "oracle.budget"),
+    ("audit_cap float", _with(("audit_cap",), 5e4), "audit_cap"),
+]
+
+
+@pytest.mark.parametrize("doc", [d for _, d, _ in _REJECTED], ids=[n for n, _, _ in _REJECTED])
+def test_config_rejects_each_schema_rule(doc):
+    with pytest.raises(ConfigError):
+        config_from_dict(doc)
+
+
+@pytest.mark.parametrize("doc,path", [(d, p) for _, d, p in _REJECTED], ids=[n for n, _, _ in _REJECTED])
+def test_config_error_names_the_key_path(doc, path):
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(doc)
+    assert str(info.value).startswith(path + " ")
+
+
+def test_config_rejects_demand_above_unheld_count():
+    # (2,2,2)/(0,0,1) leaves one unheld message in class 2: the run used to fail
+    # in usi_answer with UnsupportedParametersError
+    doc = _with(("instances", 0), {"class_sizes": [2, 2, 2], "side_counts": [0, 0, 1]})
+    for scheme in ("usi", "musi"):
+        with pytest.raises(ConfigError, match=r"instances\[0\]: class 2 .* demand 2"):
+            config_from_dict({**doc, "scheme": scheme, "demand": 2})
+        assert config_from_dict({**doc, "scheme": scheme, "demand": 1}).demand == 1
+    # fsi retrieves one message and ignores demand
+    assert config_from_dict({**doc, "scheme": "fsi", "demand": 2}).demand == 2
+
+
+def test_config_rejects_more_desired_classes_than_classes():
+    doc = {**_VALID, "scheme": "musi", "num_desired": 3}
+    with pytest.raises(ConfigError, match="num_desired 3 exceeds the 2 classes"):
+        config_from_dict(doc)
+    assert config_from_dict({**doc, "num_desired": 2}).num_desired == 2
+
+
 def test_config_refuses_mixed_side_information():
     with pytest.raises(ConfigError, match="mixed-side-information"):
         config_from_dict(

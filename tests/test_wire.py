@@ -10,9 +10,6 @@ from ppir.wire import (
     answer_from_json,
     answer_to_json,
     canonical_bytes,
-    code_to_json,
-    database_from_json,
-    database_to_json,
     query_from_json,
     query_to_json,
     side_from_json,
@@ -107,14 +104,6 @@ def test_side_rejects_counts_contradicting_labels():
         side_from_json(doc)
 
 
-def test_database_round_trip():
-    params, layout, store, _, _ = make_world((3, 2), (1, 0), msg_len=3)
-    doc = database_to_json(store)
-    assert doc["format"] == "ppir.database/1"
-    back = database_from_json(doc)
-    assert back == store
-
-
 def test_format_tag_rejected():
     _, _, store, side, values = make_world((3, 3), (1, 1))
     with pytest.raises(WireFormatError):
@@ -136,15 +125,3 @@ def test_malformed_payload_rejected():
     with pytest.raises(WireFormatError):
         answer_from_json(doc)
 
-
-def test_code_serialization():
-    from ppir.mds import make_mds
-
-    doc = code_to_json(make_mds(3, 2, 3))
-    assert doc == {
-        "format": "ppir.code/1",
-        "n": 3,
-        "k": 2,
-        "q": 3,
-        "generator": [[1, 0, 2], [0, 1, 2]],
-    }
