@@ -8,8 +8,9 @@ Example, from the root of a git checkout:
 Each revision is exported with `git archive` into .bench_build/<sha>/;
 `--change WORKTREE` benchmarks the checkout itself, uncommitted edits
 included.  For every workload of BENCHMARK.json the script runs
-`perfbench/run.py` (untraced) once per side in each of `--pairs` pairs,
-both sides on the same seed, alternating which side goes first.  The file
+`perfbench/run.py` (untraced, for BENCHMARK.json's `run_seconds`) once per
+side in each of `--pairs` pairs, both sides on the same seed, alternating
+which side goes first.  The file
 holds, per workload and metric, each side's median and quartiles, the
 change/parent ratio of the medians and how many pairs the change won;
 every run's summary metrics and `stamp` are kept under "runs".
@@ -108,7 +109,6 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="git revision of the baseline")
     parser.add_argument("--change", required=True, help="git revision, or WORKTREE")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     parser.add_argument("--seed", type=int, default=1000, help="pair i runs on seed + i")
     parser.add_argument("--workloads", nargs="+", choices=workloads, default=workloads)
     parser.add_argument("--out", required=True, help="output file, e.g. BENCH_6.json")
@@ -120,7 +120,7 @@ def main(argv=None) -> int:
     doc = {
         "revisions": {side: name for side, (_, name) in sides.items()},
         "pairs": args.pairs,
-        "seconds": args.seconds,
+        "seconds": spec["run_seconds"],
         "seeds": [args.seed + i for i in range(args.pairs)],
         "workloads": {},
     }
@@ -129,7 +129,7 @@ def main(argv=None) -> int:
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(run_once(sides[side][0], workload, args.seed + i, args.seconds))
+                runs[side].append(run_once(sides[side][0], workload, args.seed + i, spec["run_seconds"]))
                 last = runs[side][-1]
                 print(f"{workload} pair {i} {side}: {json.dumps(last['metrics'])}", file=sys.stderr)
         doc["workloads"][workload] = {

@@ -163,11 +163,24 @@ class ExperimentConfig:
     include_records: bool = True
 
 
+def _short_class(class_sizes, side_counts, demand: int):
+    """Index of the first class with fewer than `demand` unheld messages, or None.
+
+    The rule holds for fsi too: its retrieval ignores the demand, but the
+    oracle section sends a usi answer at that demand.
+    """
+    for i, (mu, k) in enumerate(zip(class_sizes, side_counts)):
+        if mu - k < demand:
+            return i
+    return None
+
+
 def grid_instances(grid: dict, msg_lens, demand: int, scheme: str = "usi"):
     """Deduplicated grid: sorted (size, count) multisets per class count.
 
-    grid holds `num_classes` (a list) and `max_class_size`; every class of
-    every instance can yield `demand` new messages, and q fits `scheme`.
+    grid holds `num_classes` (a list) and `max_class_size`; instances with a
+    class short of `demand` new messages are left out (see `_short_class`),
+    and q fits `scheme`.
     """
     out = []
     sizes = range(1, grid["max_class_size"] + 1)
@@ -176,7 +189,7 @@ def grid_instances(grid: dict, msg_lens, demand: int, scheme: str = "usi"):
         for combo in itertools.combinations_with_replacement(pairs, gamma):
             class_sizes = tuple(mu for mu, _ in combo)
             side_counts = tuple(k for _, k in combo)
-            if any(mu < k + demand for mu, k in combo):
+            if _short_class(class_sizes, side_counts, demand) is not None:
                 continue
             q = auto_field_size(class_sizes, side_counts, demand, scheme)
             for msg_len in msg_lens:
@@ -213,13 +226,13 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             )
         except ParameterError as exc:
             raise ConfigError(f"instances[{n}]: {exc}") from exc
-        for i, (mu, k) in enumerate(zip(class_sizes, side_counts)):
-            # fsi retrieves one message whatever the demand
-            if scheme != "fsi" and mu - k < demand:
-                raise ConfigError(
-                    f"instances[{n}]: class {i} of size {mu} with {k} held leaves "
-                    f"{mu - k} new messages, below demand {demand}"
-                )
+        i = _short_class(class_sizes, side_counts, demand)
+        if i is not None:
+            mu, k = class_sizes[i], side_counts[i]
+            raise ConfigError(
+                f"instances[{n}]: class {i} of size {mu} with {k} held leaves "
+                f"{mu - k} new messages, below demand {demand}"
+            )
         instances.append(params)
     if "grid" in doc:
         instances.extend(
@@ -256,7 +269,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path) as fh:
+        # binary, so that PyYAML decodes and a bad encoding is a YAMLError
+        with open(path, "rb") as fh:
             doc = yaml.safe_load(fh)
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc

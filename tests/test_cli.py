@@ -104,8 +104,13 @@ def test_run_command_config_error(tmp_path, capsys):
         "instances:\n  - class_sizes: [2]\n    side_counts: [0]\n",
         "instances: [\n",  # not YAML
         "",  # no mapping
+        b"\xff\xfe",  # UTF-16 byte-order mark, no document
+        b"trials: \x80\n",  # not UTF-8
     ):
-        config.write_text(text)
+        if isinstance(text, bytes):
+            config.write_bytes(text)
+        else:
+            config.write_text(text)
         code, _, err = run_cli(capsys, "run", str(config))
         assert code == 2
         assert err.startswith("error:")

@@ -7,6 +7,7 @@ from ppir.errors import ConfigError, ProtocolViolationError
 from ppir.harness import (
     auto_field_size,
     config_from_dict,
+    grid_instances,
     instance_id,
     load_config,
     replay,
@@ -161,12 +162,32 @@ def test_config_rejects_demand_above_unheld_count():
     # (2,2,2)/(0,0,1) leaves one unheld message in class 2: the run used to fail
     # in usi_answer with UnsupportedParametersError
     doc = _with(("instances", 0), {"class_sizes": [2, 2, 2], "side_counts": [0, 0, 1]})
-    for scheme in ("usi", "musi"):
+    # fsi too: its oracle section sends a usi answer at the configured demand
+    for scheme in ("usi", "musi", "fsi"):
         with pytest.raises(ConfigError, match=r"instances\[0\]: class 2 .* demand 2"):
             config_from_dict({**doc, "scheme": scheme, "demand": 2})
         assert config_from_dict({**doc, "scheme": scheme, "demand": 1}).demand == 1
-    # fsi retrieves one message and ignores demand
-    assert config_from_dict({**doc, "scheme": "fsi", "demand": 2}).demand == 2
+
+
+def test_explicit_and_grid_instances_share_the_demand_rule():
+    # the grid leaves out exactly the instances an explicit list rejects
+    grid = {"num_classes": [2], "max_class_size": 3}
+    for scheme in ("usi", "fsi"):
+        kept = config_from_dict({"scheme": scheme, "demand": 2, "grid": grid}).instances
+        for params in grid_instances(grid, [1], 1, scheme):
+            item = {"class_sizes": list(params.class_sizes),
+                    "side_counts": list(params.side_counts)}
+            doc = {"scheme": scheme, "demand": 2, "instances": [item]}
+            short = any(mu - k < 2 for mu, k in zip(params.class_sizes, params.side_counts))
+            if short:
+                with pytest.raises(ConfigError, match="below demand 2"):
+                    config_from_dict(doc)
+            else:
+                explicit = config_from_dict(doc).instances[0]
+                assert explicit in kept
+        assert all(
+            min(mu - k for mu, k in zip(p.class_sizes, p.side_counts)) >= 2 for p in kept
+        )
 
 
 def test_config_rejects_more_desired_classes_than_classes():
