@@ -2,10 +2,11 @@
 
 Subcommands: run (experiment config), capacity (rate calculators), oracle
 (bounds, brute-force minimum length, certificate), audit (privacy), replay
-(decode serialized wire files).  Exit codes: 0 pass, 1 assertion failure,
-2 configuration or format error, which covers every error `replay` raises,
-3 internal error (an exception that is not a `PpirError`, reported on one
-line).  Each subcommand imports only the modules it uses, so `capacity`
+(decode serialized wire files).  Exit codes: 0 pass, 1 assertion failure
+(`run` names each failing trial's checks on stderr), 2 configuration or
+format error, which covers every error `replay` raises and an instance the
+command-line parameters cannot describe, 3 internal error (an exception
+that is not a `PpirError`, reported on one line).  Each subcommand imports only the modules it uses, so `capacity`
 starts without loading the protocol, oracle, audit or config machinery.
 """
 
@@ -18,6 +19,7 @@ import sys
 from .errors import (
     ConfigError,
     EnumerationCapError,
+    ParameterError,
     PpirError,
     SearchBudgetError,
     WireFormatError,
@@ -29,16 +31,34 @@ def int_list(text: str):
     return tuple(int(x) for x in text.split(",") if x != "")
 
 
+def _from_flags(build, *args, **kwargs):
+    """build(*args, **kwargs) on command-line values: a ParameterError is bad input."""
+    try:
+        return build(*args, **kwargs)
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _params_from_args(args):
     from .model import InstanceParams
     from .protocol import auto_field_size
 
     q = args.q or auto_field_size(args.class_sizes, args.side_counts)
-    return InstanceParams(args.class_sizes, args.side_counts, msg_len=args.msg_len, q=q)
+    return _from_flags(
+        InstanceParams, args.class_sizes, args.side_counts, msg_len=args.msg_len, q=q
+    )
 
 
 def _emit(doc: dict, args) -> None:
     print(json.dumps(doc, sort_keys=True, indent=2))
+
+
+def _print_failed_checks(record) -> None:
+    print(
+        f"failed: {record.instance} trial {record.index} (seed {record.seed}): "
+        + ", ".join(record.failed_checks),
+        file=sys.stderr,
+    )
 
 
 def cmd_run(args) -> int:
@@ -60,7 +80,7 @@ def cmd_run(args) -> int:
         from dataclasses import replace
 
         config = replace(config, **overrides)
-    report, ok = run_experiment(config)
+    report, ok = run_experiment(config, on_failure=_print_failed_checks)
     if config.output:
         for path in write_report(report, config.output, config.formats):
             print(f"wrote {path}")
@@ -75,10 +95,12 @@ def cmd_capacity(args) -> int:
     from .rates import msi_rate_bounds, rate_report
 
     class_sizes, side_counts = args.class_sizes, args.side_counts
+    if len(side_counts) != len(class_sizes):
+        raise ConfigError("side_counts must have one entry per class")
     if any(mu == k for mu, k in zip(class_sizes, side_counts)):
         identified = sum(1 for mu, k in zip(class_sizes, side_counts) if mu == k)
-        lo, hi = msi_rate_bounds(
-            sum(class_sizes), sum(side_counts), len(class_sizes), identified
+        lo, hi = _from_flags(
+            msi_rate_bounds, sum(class_sizes), sum(side_counts), len(class_sizes), identified
         )
         _emit(
             {
@@ -91,7 +113,8 @@ def cmd_capacity(args) -> int:
             args,
         )
         return 0
-    report = rate_report(
+    report = _from_flags(
+        rate_report,
         class_sizes,
         side_counts,
         identified=args.identified,
@@ -107,7 +130,7 @@ def cmd_oracle(args) -> int:
 
     params = _params_from_args(args)
     t = args.t or params.num_classes
-    inst = picod.instance_from_params(params, demand_classes=t)
+    inst = _from_flags(picod.instance_from_params, params, demand_classes=t)
     lower = picod.broadcast_lower_bound(inst)
     upper = picod.broadcast_upper_bound(params.num_messages, params.total_side, t)
     doc = {

@@ -18,6 +18,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import yaml
@@ -36,6 +37,7 @@ from .model import (
     held_messages,
     positional_side_info,
     random_store,
+    sample_positions,
     sample_side_info,
 )
 from .protocol import (
@@ -291,6 +293,10 @@ def trial_seed(master_seed: int, instance: str, index: int) -> int:
     return int.from_bytes(hashlib.blake2b(blob, digest_size=8).digest(), "big")
 
 
+# run_trial's checks; a record names the ones its round failed
+TRIAL_CHECKS = ("cost", "rate", "new_count", "total_new", "bit_exact")
+
+
 @dataclass
 class TrialRecord:
     instance: str
@@ -301,6 +307,7 @@ class TrialRecord:
     rate: Fraction
     new_from_class: tuple[int, ...]
     success: bool
+    failed_checks: tuple[str, ...] = ()  # stderr only, never in report.json
 
     def to_json(self) -> dict:
         return {
@@ -315,8 +322,32 @@ class TrialRecord:
         }
 
 
+@lru_cache(maxsize=4096)
+def _instance_plan(params: InstanceParams, scheme: str, demand: int, num_desired: int):
+    """run_trial's per-instance constants: id, download, rate and unheld count.
+
+    An fsi round's download and rate follow from its query, so both are None.
+    The bound covers a 1,600-instance grid swept one round per instance.
+    """
+    unheld = params.num_messages - params.total_side
+    if scheme == "fsi":
+        return instance_id(params), None, None, unheld
+    sizes, counts = params.class_sizes, params.side_counts
+    if demand == 1:
+        rate = usi_capacity(sizes, counts)
+    else:
+        rate = multi_rate(sizes, counts, demand, num_desired) / (demand * num_desired)
+    download = expected_download_rows(sizes, counts, demand) * params.msg_len
+    return instance_id(params), download, rate, unheld
+
+
 def run_trial(params: InstanceParams, seed: int, scheme: str, demand: int, num_desired: int):
-    """One seeded protocol round; raises on any contract violation."""
+    """One seeded protocol round; raises on any contract violation.
+
+    Every check runs on every round; the record names the failed ones
+    (TRIAL_CHECKS; an fsi round has no new_count or total_new check).
+    """
+    iid, download, target_rate, unheld = _instance_plan(params, scheme, demand, num_desired)
     rng = as_rng(seed)
     layout = build_layout(params, rng)
     store = random_store(layout, rng)
@@ -333,45 +364,46 @@ def run_trial(params: InstanceParams, seed: int, scheme: str, demand: int, num_d
         query = fsi_query(v, pos_side, params.class_sizes, rng)
         answer = fsi_answer(query, store)
         eta = query.known_count + 1
-        expected = (gamma - eta + 1) * params.msg_len
         result = fsi_decode(answer, query, pos_side, values, v)
-        pick_label = (v, query.picks[v])
-        got = dict(result.decoded)[pick_label]
+        got = dict(result.decoded)[(v, query.picks[v])]
         truth = store.messages[layout.class_members[v][query.picks[v]]]
-        ok = got == truth and download_cost(answer) == expected
+        cost = download_cost(answer)
         rate = achieved_rate(answer, params.msg_len)
-        ok = ok and rate == fsi_rate(gamma, eta)
+        checks = (
+            ("cost", cost == (gamma - eta + 1) * params.msg_len),
+            ("rate", rate == fsi_rate(gamma, eta)),
+            ("bit_exact", got == truth),
+        )
     else:
         values = held_messages(store, side)
         if scheme == "musi":
-            desired = tuple(sorted(rng.sample(range(gamma), num_desired)))
+            desired = sample_positions(rng, gamma, num_desired)
         else:
             desired = (rng.randrange(gamma),)
         query = usi_query(desired[0], side, demand=demand)
         answer = usi_answer(query, store, rng)
-        expected = expected_download_rows(params.class_sizes, params.side_counts, demand) * params.msg_len
         result = decode_answer(answer, side, values, demand=demand)
-        ok = download_cost(answer) == expected
-        ok = ok and all(n >= demand for n in result.new_from_class)
-        ok = ok and result.total_new <= params.num_messages - params.total_side
-        for lab, symbols in result.decoded:
-            ok = ok and store.message_for(lab) == tuple(symbols)
+        cost = download_cost(answer)
         rate = achieved_rate(answer, params.msg_len)
-        if demand == 1:
-            ok = ok and rate == usi_capacity(params.class_sizes, params.side_counts)
-        else:
-            ok = ok and Fraction(demand * num_desired) * rate == multi_rate(
-                params.class_sizes, params.side_counts, demand, num_desired
-            )
+        message_for = store.message_for
+        checks = (
+            ("cost", cost == download),
+            ("rate", rate == target_rate),
+            ("new_count", all(n >= demand for n in result.new_from_class)),
+            ("total_new", result.total_new <= unheld),
+            ("bit_exact", all(message_for(lab) == tuple(sym) for lab, sym in result.decoded)),
+        )
+    failed = tuple(name for name, ok in checks if not ok)
     return TrialRecord(
-        instance=instance_id(params),
+        instance=iid,
         index=-1,
         seed=seed,
         desired=desired,
-        download_symbols=download_cost(answer),
+        download_symbols=cost,
         rate=rate,
         new_from_class=result.new_from_class,
-        success=ok,
+        success=not failed,
+        failed_checks=failed,
     )
 
 
@@ -438,8 +470,12 @@ def _audit_section(params: InstanceParams, config: ExperimentConfig, seed: int) 
     return verdict.to_json()
 
 
-def run_experiment(config: ExperimentConfig):
-    """Execute the configured trials; returns (report_dict, all_passed)."""
+def run_experiment(config: ExperimentConfig, on_failure=None):
+    """Execute the configured trials; returns (report_dict, all_passed).
+
+    on_failure, if given, is called with each failing TrialRecord, whose
+    failed_checks name what broke; the report itself does not carry them.
+    """
     report_instances = []
     all_ok = True
     for params in config.instances:
@@ -454,6 +490,8 @@ def run_experiment(config: ExperimentConfig):
             if not record.success:
                 failures += 1
                 all_ok = False
+                if on_failure is not None:
+                    on_failure(record)
         if config.scheme == "fsi":
             capacity = None
         else:

@@ -11,6 +11,16 @@ Side information is a set of held messages with exactly k_i of them from
 class i.  The user-facing view of side information is the label-pair set
 plus the per-class counts; the underlying index set exists only for
 auditing and never feeds the decoding path.
+
+Seeded worlds feed report.json, so every draw here reproduces what the
+`random.Random` methods that used to make it would return, and leaves the
+generator in the same state.  The draws skip those Python-level wrappers
+(`randrange`, `randint`, `shuffle` and, for populations up to 21,
+`sample`), which cost about a quarter of a protocol round: each value below
+n is `getrandbits(n.bit_length())`, drawn again while it is >= n, exactly
+as `Random._randbelow` does it.  `tests/test_model.py` checks outputs and
+`getstate()` against the stdlib calls, so a Python whose draw algorithm
+differs fails there rather than changing reports silently.
 """
 
 from __future__ import annotations
@@ -30,6 +40,41 @@ def as_rng(seed) -> random.Random:
     if isinstance(seed, random.Random):
         return seed
     return random.Random(seed)
+
+
+def _below(getrandbits, n: int) -> int:
+    """One uniform draw from range(n), made as `Random._randbelow` makes it."""
+    b = n.bit_length()
+    r = getrandbits(b)
+    while r >= n:
+        r = getrandbits(b)
+    return r
+
+
+def _draws(rng: random.Random, n: int):
+    """Endless `_below` draws from range(n); lazy, so only pulled values use bits."""
+    return filter(n.__gt__, map(rng.getrandbits, itertools.repeat(n.bit_length())))
+
+
+def sample_positions(rng: random.Random, mu: int, k: int) -> tuple[int, ...]:
+    """sorted(rng.sample(range(mu), k)), with the same draws.
+
+    Up to mu = 21 `Random.sample` always takes its pool branch, which is
+    repeated here; above that it is called itself.
+    """
+    if not 0 <= k <= mu:
+        raise ParameterError(f"cannot sample {k} of {mu} positions")
+    if mu > 21:
+        return tuple(sorted(rng.sample(range(mu), k)))
+    getrandbits = rng.getrandbits
+    pool = list(range(mu))
+    picked = []
+    for n in range(mu, mu - k, -1):
+        j = _below(getrandbits, n)
+        picked.append(pool[j])
+        pool[j] = pool[n - 1]
+    picked.sort()
+    return tuple(picked)
 
 
 @dataclass(frozen=True)
@@ -105,18 +150,19 @@ class DatabaseLayout:
 
     def __post_init__(self):
         f = self.params.num_messages
-        seen = [m for members in self.class_members for m in members]
-        if sorted(seen) != list(range(f)):
+        if sorted(itertools.chain.from_iterable(self.class_members)) != list(range(f)):
             raise ParameterError("class members must partition the message indices")
-        for members, labs, mu in zip(self.class_members, self.labels, self.params.class_sizes):
+        pos = {}
+        for i, (members, labs, mu) in enumerate(
+            zip(self.class_members, self.labels, self.params.class_sizes)
+        ):
             if len(members) != mu or len(labs) != mu:
                 raise ParameterError("class member/label lengths must match class sizes")
-            if len(set(labs)) != mu:
-                raise ParameterError("identifiers must be unique within a class")
-        pos = {}
-        for i, labs in enumerate(self.labels):
             for p, ident in enumerate(labs):
                 pos[(i, ident)] = p
+        # one key per (class, identifier), so a repeat leaves fewer than f
+        if len(pos) != f:
+            raise ParameterError("identifiers must be unique within a class")
         object.__setattr__(self, "_pos_by_label", pos)
 
     @property
@@ -131,8 +177,7 @@ class DatabaseLayout:
         return self._pos_by_label[label]
 
     def index_of(self, label) -> int:
-        i, _ = label
-        return self.class_members[i][self.position_of(label)]
+        return self.class_members[label[0]][self._pos_by_label[label]]
 
 
 @dataclass(frozen=True)
@@ -144,11 +189,12 @@ class MessageStore:
         p = self.layout.params
         if len(self.messages) != p.num_messages:
             raise ParameterError("store must hold one row per message")
+        msg_len, q = p.msg_len, p.q
         for row in self.messages:
-            if len(row) != p.msg_len:
+            if len(row) != msg_len:
                 raise ParameterError("message rows must have msg_len symbols")
             for s in row:
-                if not 0 <= s < p.q:
+                if not 0 <= s < q:
                     raise ParameterError("symbols must lie in [0, q)")
 
     def message_for(self, label):
@@ -169,9 +215,6 @@ class SideInfo:
     def audit_index_set(self) -> tuple[int, ...]:
         return self._indices
 
-    def labels_in_class(self, i: int):
-        return tuple(lab for lab in self.label_set if lab[0] == i)
-
 
 def build_layout(params: InstanceParams, seed, identifier_range=DEFAULT_IDENTIFIER_RANGE):
     """Uniformly random class assignment plus fresh identifiers."""
@@ -180,37 +223,37 @@ def build_layout(params: InstanceParams, seed, identifier_range=DEFAULT_IDENTIFI
     span = hi - lo + 1
     if any(mu > span for mu in params.class_sizes):
         raise ParameterError("identifier range too small for the class sizes")
+    # rng.shuffle(indices), then rng.randint(lo, hi) per identifier
+    getrandbits = rng.getrandbits
     indices = list(range(params.num_messages))
-    rng.shuffle(indices)
+    for i in range(len(indices) - 1, 0, -1):
+        j = _below(getrandbits, i + 1)
+        indices[i], indices[j] = indices[j], indices[i]
+    offsets = _draws(rng, span)
     members = []
     labels = []
     at = 0
     for mu in params.class_sizes:
         members.append(tuple(indices[at: at + mu]))
         at += mu
-        seen = set()
-        labs = []
+        # a repeat is dropped and drawn again; the first mu draws cannot overshoot
+        labs = dict.fromkeys(map(lo.__add__, itertools.islice(offsets, mu)))
         while len(labs) < mu:
-            v = rng.randint(lo, hi)
-            if v not in seen:
-                seen.add(v)
-                labs.append(v)
+            labs[lo + next(offsets)] = None
         labels.append(tuple(labs))
     return DatabaseLayout(params, tuple(members), tuple(labels))
 
 
 def random_store(layout: DatabaseLayout, seed) -> MessageStore:
     """Independent uniform symbols for every message."""
-    rng = as_rng(seed)
     p = layout.params
-    rows = tuple(
-        tuple(rng.randrange(p.q) for _ in range(p.msg_len))
-        for _ in range(p.num_messages)
-    )
-    return MessageStore(layout, rows)
+    # rng.randrange(q) per symbol, grouped msg_len at a time into rows
+    symbols = itertools.islice(_draws(as_rng(seed), p.q), p.num_messages * p.msg_len)
+    return MessageStore(layout, tuple(zip(*[symbols] * p.msg_len)))
 
 
-def _side_from_positions(layout: DatabaseLayout, positions_by_class) -> SideInfo:
+def side_from_positions(layout: DatabaseLayout, positions_by_class) -> SideInfo:
+    """Side information holding the given within-class positions, one tuple per class."""
     labels = []
     indices = []
     counts = []
@@ -238,10 +281,9 @@ def sample_side_info(layout: DatabaseLayout, seed, side_counts=None) -> SideInfo
     rng = as_rng(seed)
     counts = _validate_counts(layout, side_counts)
     positions = [
-        tuple(sorted(rng.sample(range(mu), k)))
-        for mu, k in zip(layout.params.class_sizes, counts)
+        sample_positions(rng, mu, k) for mu, k in zip(layout.params.class_sizes, counts)
     ]
-    return _side_from_positions(layout, positions)
+    return side_from_positions(layout, positions)
 
 
 def enumerate_side_info_sets(layout: DatabaseLayout, side_counts=None, cap=100_000):
@@ -257,7 +299,7 @@ def enumerate_side_info_sets(layout: DatabaseLayout, side_counts=None, cap=100_0
         for mu, k in zip(layout.params.class_sizes, counts)
     ]
     return [
-        _side_from_positions(layout, combo)
+        side_from_positions(layout, combo)
         for combo in itertools.product(*per_class)
     ]
 

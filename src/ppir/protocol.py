@@ -40,7 +40,7 @@ from .errors import (
 )
 from .fields import next_prime
 from .mds import make_mds
-from .model import MessageStore, SideInfo, as_rng
+from .model import MessageStore, SideInfo, as_rng, sample_positions
 
 
 @dataclass(frozen=True)
@@ -158,22 +158,24 @@ def usi_answer(query: Query, store: MessageStore, seed=None, selections=None) ->
     if len(query.side_counts) != params.num_classes:
         raise ParameterError("query count profile does not match the database")
     rng = as_rng(seed) if selections is None else None
+    messages = store.messages
     payloads = []
     for i, (mu, k) in enumerate(zip(params.class_sizes, query.side_counts)):
         mode, rows = class_plan(mu, k, query.demand)
         if mode == "uncoded":
             if selections is None:
-                pos = tuple(sorted(rng.sample(range(mu), rows)))
+                pos = sample_positions(rng, mu, rows)
             else:
                 pos = tuple(selections[i])
+            labels, members = layout.labels[i], layout.class_members[i]
             payloads.append(
                 ClassPayload(
                     class_id=i,
                     mode="uncoded",
-                    labels=tuple((i, layout.labels[i][p]) for p in pos),
+                    labels=tuple([(i, labels[p]) for p in pos]),
                     identifier_order=None,
                     code_length=None,
-                    symbols=tuple(store.messages[layout.class_members[i][p]] for p in pos),
+                    symbols=tuple([messages[members[p]] for p in pos]),
                 )
             )
         else:
@@ -183,7 +185,7 @@ def usi_answer(query: Query, store: MessageStore, seed=None, selections=None) ->
                     f"class {i} needs a [{n}, {mu}] code but q={params.q}"
                 )
             code = make_mds(n, mu, params.q)
-            class_rows = [store.messages[m] for m in layout.class_members[i]]
+            class_rows = [messages[m] for m in layout.class_members[i]]
             payloads.append(
                 ClassPayload(
                     class_id=i,
@@ -215,6 +217,9 @@ def decode_answer(
     code_factory builds the (n, k, q) erasure code named by parity headers.
     """
     side_labels = set(side.label_set)
+    held = {}
+    for lab in side.label_set:
+        held.setdefault(lab[0], []).append(lab)
     decoded = []
     counts = {}
     for payload in answer.payloads:
@@ -242,18 +247,16 @@ def decode_answer(
                     f"parity class {i} carries {len(payload.symbols)} rows, "
                     f"its [{n}, {mu}] header needs {n - mu}"
                 )
-            pos_of = {a: p for p, a in enumerate(idents)}
-            mine = side.labels_in_class(i)
+            pos_of = dict(zip(idents, range(mu)))
             known = []
-            for lab in mine:
+            for lab in held.get(i, ()):
                 if lab[1] not in pos_of:
                     raise DecodeMetadataError(
                         f"held label {lab} missing from the class {i} header"
                     )
                 known.append((pos_of[lab[1]], side_values[lab]))
-            known.extend(
-                (mu + r, row) for r, row in enumerate(payload.symbols)
-            )
+            held_pos = {p for p, _ in known}
+            known.extend(zip(range(mu, n), payload.symbols))
             if len(known) < mu:
                 raise ProtocolViolationError(
                     f"class {i} decode is underdetermined ({len(known)} of {mu} rows)"
@@ -263,7 +266,6 @@ def decode_answer(
                 full = code.erasure_decode(known)
             except InsufficientInformationError as exc:
                 raise ProtocolViolationError(str(exc)) from exc
-            held_pos = {pos_of[lab[1]] for lab in mine}
             new = [
                 ((i, idents[p]), full[p])
                 for p in range(mu)

@@ -137,9 +137,10 @@ def answer_to_json(answer: Answer) -> dict:
 
 
 def answer_from_json(doc: dict) -> Answer:
+    """Parse an answer; rows must match the msg_len header and identifiers not repeat."""
     _expect(doc, ANSWER_FORMAT)
     try:
-        return Answer(
+        answer = Answer(
             q=int(doc["q"]),
             msg_len=int(doc["msg_len"]),
             payloads=tuple(_payload_from_json(p) for p in doc["payloads"]),
@@ -147,6 +148,18 @@ def answer_from_json(doc: dict) -> Answer:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise WireFormatError(f"malformed answer document: {exc}") from exc
+    for n, payload in enumerate(answer.payloads):
+        for row in payload.symbols:
+            if len(row) != answer.msg_len:
+                raise WireFormatError(
+                    f"payload {n} has a row of {len(row)} symbols, "
+                    f"the header's msg_len is {answer.msg_len}"
+                )
+        if isinstance(payload, ClassPayload):
+            names = payload.labels if payload.mode == "uncoded" else payload.identifier_order
+            if len(set(names)) != len(names):
+                raise WireFormatError(f"payload {n} (class {payload.class_id}) repeats an identifier")
+    return answer
 
 
 # --- side information -----------------------------------------------------------

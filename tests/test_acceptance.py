@@ -3,8 +3,9 @@
 The instance grid covers two and three classes with class sizes up to five,
 every valid side-count profile up to class relabeling, and message lengths
 1 and 4; every instance runs 100 seeded trials.  Matrix-level checks
-(criteria 5 and 7) run on the msg_len=1 instances because encoding-matrix
-structure, enumerability and total-variation distances do not depend on the
+(criteria 5 and 7) and the exhaustive per-class recovery (criterion 11) run
+on the msg_len=1 instances because encoding-matrix structure, enumerability,
+total-variation distances and which pairs decode do not depend on the
 message length.
 
 Run with `pytest tests/test_acceptance.py -v -s`.
@@ -18,12 +19,15 @@ import pytest
 
 from ppir.audit import MUTANT_SERVERS, audit_exact, audit_statistical, exact_audit_work
 from ppir.harness import run_trial, trial_seed
+from ppir.errors import PpirError
 from ppir.model import (
     InstanceParams,
     build_layout,
+    held_messages,
     positional_side_info,
     random_store,
     sample_side_info,
+    side_from_positions,
 )
 from ppir.picod import (
     PicodInstance,
@@ -35,11 +39,13 @@ from ppir.picod import (
     rank_lower_bound_certificate,
 )
 from ppir.protocol import (
+    class_plan,
     decode_answer,
     download_cost,
     fsi_answer,
     fsi_decode,
     fsi_query,
+    uncoded_choice_space,
     usi_answer,
     usi_query,
 )
@@ -330,3 +336,50 @@ def test_criterion_10_mds_property_suite():
                         ok = ok and got == cw
                         decodes += 1
     _report(10, ok, f"{codes} codes, {decodes} erasure decodes, all exact")
+
+
+def test_criterion_11_exhaustive_per_class_recovery(acceptance_grid):
+    # Class i has N_i = C(mu_i, k_i) side subsets times its server choices
+    # (the uncoded position subsets, or the one parity answer).  Round r gives
+    # class i its (r mod N_i)-th pair, so max_i N_i rounds per instance decode
+    # every class-local pair; the whole-instance product stays sampled
+    # (criteria 1-3, 100 random rounds per instance).
+    instances = rounds = 0
+    first_bad = None
+    for params in acceptance_grid:
+        if params.msg_len != 1:
+            continue
+        layout = build_layout(params, 31)
+        store = random_store(layout, 32)
+        pairs = [
+            list(itertools.product(
+                itertools.combinations(range(mu), k),
+                uncoded_choice_space(mu, k) if class_plan(mu, k)[0] == "uncoded" else [None],
+            ))
+            for mu, k in zip(params.class_sizes, params.side_counts)
+        ]
+        for r in range(max(map(len, pairs))):
+            chosen = [class_pairs[r % len(class_pairs)] for class_pairs in pairs]
+            side = side_from_positions(layout, [held for held, _ in chosen])
+            try:
+                answer = usi_answer(
+                    usi_query(0, side), store, selections=[choice for _, choice in chosen]
+                )
+                result = decode_answer(answer, side, held_messages(store, side))
+                good = all(n >= 1 for n in result.new_from_class) and all(
+                    store.message_for(lab) == tuple(sym) for lab, sym in result.decoded
+                )
+            except PpirError:
+                good = False
+            rounds += 1
+            if not good and first_bad is None:
+                first_bad = f"{params.class_sizes}/{params.side_counts} pairs {chosen}"
+        instances += 1
+    ok = first_bad is None and instances == 800 and rounds >= 13_132
+    _report(
+        11,
+        ok,
+        f"every class-local (side subset, server choice) pair decoded bit-exact on "
+        f"{instances} instances in {rounds} rounds"
+        + (f"; first failure {first_bad}" if first_bad else ""),
+    )

@@ -98,6 +98,33 @@ def test_run_command(tmp_path, capsys):
     assert report["all_passed"]
 
 
+def test_run_command_names_failed_checks_on_stderr(tmp_path, capsys, monkeypatch):
+    from ppir import harness
+    from ppir.protocol import RetrievalResult
+
+    real = harness.decode_answer
+
+    def flipped(*args, **kwargs):
+        result = real(*args, **kwargs)
+        (lab, sym), *rest = result.decoded
+        return RetrievalResult(((lab, ((sym[0] + 1) % 5,)), *rest), result.new_from_class)
+
+    monkeypatch.setattr(harness, "decode_answer", flipped)
+    config = tmp_path / "config.yaml"
+    config.write_text(
+        "seed: 5\ntrials: 2\n"
+        "instances:\n  - class_sizes: [3, 3]\n    side_counts: [1, 1]\n    q: 5\n"
+    )
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(capsys, "run", str(config), "--out", str(out_dir))
+    assert code == 1
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("failed: c3x3-s1x1-L1-q5 trial 0 (seed ")
+    assert lines[0].endswith("): bit_exact")
+    assert "failed_checks" not in (out_dir / "report.json").read_text()
+
+
 def test_run_command_config_error(tmp_path, capsys):
     config = tmp_path / "bad.yaml"
     for text in (
@@ -211,6 +238,34 @@ def test_replay_command_extra_parity_row(tmp_path, capsys):
     assert "carries 3 rows" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("defect", ["row-longer-than-msg_len", "parity-identifier-repeated"])
+def test_replay_command_rejects_malformed_answer_headers(tmp_path, capsys, defect):
+    from conftest import make_world
+    from ppir.protocol import usi_answer, usi_query
+    from ppir.wire import answer_to_json, query_to_json, side_to_json
+
+    params, layout, store, side, values = make_world((3, 3), (1, 1), seed=2)
+    query = usi_query(0, side)
+    doc = answer_to_json(usi_answer(query, store, 3))
+    if defect == "row-longer-than-msg_len":
+        doc["payloads"][1]["symbols"][0].append(0)
+    else:
+        order = doc["payloads"][1]["identifier_order"]
+        order[1] = order[0]
+    (tmp_path / "q.json").write_text(json.dumps(query_to_json(query)))
+    (tmp_path / "a.json").write_text(json.dumps(doc))
+    (tmp_path / "s.json").write_text(json.dumps(side_to_json(side, values)))
+    code, out, err = run_cli(
+        capsys,
+        "replay",
+        "--query", str(tmp_path / "q.json"),
+        "--answer", str(tmp_path / "a.json"),
+        "--side", str(tmp_path / "s.json"),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: payload 1 ") and "Traceback" not in err
+
+
 def test_replay_command_malformed_side(tmp_path, capsys):
     from conftest import make_world
     from ppir.protocol import usi_answer, usi_query
@@ -314,6 +369,26 @@ def test_escaped_exception_is_an_internal_error(monkeypatch, capsys):
     )
     assert code == 3 and out == ""
     assert err == "internal error: RuntimeError: rate table corrupted\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("capacity", "--class-sizes", "3,3", "--side-counts", "1,1,1"),
+         "side_counts must have one entry per class"),
+        (("capacity", "--class-sizes", "3,3", "--side-counts", "5,1"), "class fully held"),
+        (("oracle", "--class-sizes", "3", "--side-counts", "1", "--skip-search"),
+         "at least two classes are required"),
+        (("oracle", "--class-sizes", "3,3", "--side-counts", "1,1", "--t", "3", "--skip-search"),
+         "demand must lie in [1, num_classes]"),
+        (("audit", "--class-sizes", "3,3", "--side-counts", "1"),
+         "side_counts must have one entry per class"),
+    ],
+)
+def test_impossible_instance_flags_are_input_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
 def test_malformed_int_list_is_a_usage_error(capsys):

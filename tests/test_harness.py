@@ -232,6 +232,53 @@ def test_run_trial_usi_success():
     assert all(n >= 1 for n in record.new_from_class)
 
 
+def _flip_first_decoded_symbol(monkeypatch, q):
+    """Make the harness's decoder return one wrong symbol, all else intact."""
+    from ppir import harness
+    from ppir.protocol import RetrievalResult
+
+    real = harness.decode_answer
+
+    def flipped(*args, **kwargs):
+        result = real(*args, **kwargs)
+        (lab, sym), *rest = result.decoded
+        wrong = ((sym[0] + 1) % q,) + tuple(sym[1:])
+        return RetrievalResult(((lab, wrong), *rest), result.new_from_class)
+
+    monkeypatch.setattr(harness, "decode_answer", flipped)
+
+
+def test_run_trial_names_failed_checks(monkeypatch):
+    from ppir.model import InstanceParams
+
+    params = InstanceParams((3, 3), (1, 1), msg_len=2, q=5)
+    honest = run_trial(params, 99, "usi", 1, 1)
+    assert honest.success and honest.failed_checks == ()
+    _flip_first_decoded_symbol(monkeypatch, params.q)
+    record = run_trial(params, 99, "usi", 1, 1)
+    assert record.failed_checks == ("bit_exact",)
+    assert not record.success
+    # the check names stay out of the record's JSON, so out of report.json
+    assert set(record.to_json()) == set(honest.to_json())
+    assert {k: v for k, v in record.to_json().items() if k != "success"} == {
+        k: v for k, v in honest.to_json().items() if k != "success"
+    }
+
+
+def test_run_experiment_hands_failing_records_to_on_failure(monkeypatch):
+    doc = {"seed": 3, "trials": 4, "instances": [{"class_sizes": [3, 3], "side_counts": [1, 1]}]}
+    config = config_from_dict(doc)
+    seen = []
+    report, ok = run_experiment(config, on_failure=seen.append)
+    assert ok and seen == []
+    _flip_first_decoded_symbol(monkeypatch, config.instances[0].q)
+    report, ok = run_experiment(config, on_failure=seen.append)
+    assert not ok
+    assert [r.index for r in seen] == [0, 1, 2, 3]
+    assert all(r.failed_checks == ("bit_exact",) for r in seen)
+    assert report["instances"][0]["failures"] == 4
+
+
 def test_run_experiment_report_and_reproducibility(tmp_path):
     doc = {
         "seed": 7,

@@ -1,16 +1,20 @@
 import math
+import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ppir.errors import EnumerationCapError, ParameterError
 from ppir.model import (
+    DEFAULT_IDENTIFIER_RANGE,
     InstanceParams,
     build_layout,
     enumerate_side_info_sets,
     held_messages,
     positional_side_info,
     random_store,
+    sample_positions,
     sample_side_info,
 )
 
@@ -183,3 +187,93 @@ def test_positional_side_info():
     for (i, pos) in pos_side.label_set:
         assert 0 <= pos < p.class_sizes[i]
         assert layout.class_members[i][pos] in side.audit_index_set()
+
+
+# --- the draws equal the random.Random calls they replace -------------------
+#
+# Each reference below is the stdlib call the model used to make; outputs and
+# the generator state afterwards must match, so seeded reports stay the same.
+
+SEEDS = st.integers(0, 2**64 - 1)
+
+
+@st.composite
+def population_and_count(draw):
+    # 21 is the largest population Random.sample always draws from a pool
+    mu = draw(st.one_of(st.sampled_from((1, 2, 20, 21, 22, 23, 60)), st.integers(1, 80)))
+    k = draw(st.one_of(st.sampled_from((0, mu)), st.integers(0, mu)))
+    return mu, k
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=SEEDS, shape=population_and_count())
+@example(seed=0, shape=(21, 0))
+@example(seed=1, shape=(21, 21))
+@example(seed=2, shape=(22, 0))
+@example(seed=3, shape=(22, 22))
+@example(seed=4, shape=(22, 6))
+@example(seed=5, shape=(50, 10))
+def test_sample_positions_draws_as_stdlib_sample(seed, shape):
+    mu, k = shape
+    ours, ref = random.Random(seed), random.Random(seed)
+    assert sample_positions(ours, mu, k) == tuple(sorted(ref.sample(range(mu), k)))
+    assert ours.getstate() == ref.getstate()
+
+
+def test_sample_positions_rejects_impossible_counts():
+    for mu, k in ((3, 4), (3, -1), (30, 31)):
+        with pytest.raises(ParameterError):
+            sample_positions(random.Random(0), mu, k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=SEEDS,
+    q=st.sampled_from((2, 3, 5, 65537, 2**31 - 1)),
+    msg_len=st.integers(1, 6),
+    sizes=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+)
+def test_random_store_draws_as_stdlib_randrange(seed, q, msg_len, sizes):
+    params = InstanceParams(sizes, [0] * len(sizes), msg_len=msg_len, q=q)
+    layout = build_layout(params, 0)
+    ours, ref = random.Random(seed), random.Random(seed)
+    want = tuple(
+        tuple(ref.randrange(q) for _ in range(msg_len)) for _ in range(params.num_messages)
+    )
+    assert random_store(layout, ours).messages == want
+    assert ours.getstate() == ref.getstate()
+
+
+def _reference_layout(params, rng, identifier_range):
+    lo, hi = identifier_range
+    indices = list(range(params.num_messages))
+    rng.shuffle(indices)
+    members, labels, at = [], [], 0
+    for mu in params.class_sizes:
+        members.append(tuple(indices[at: at + mu]))
+        at += mu
+        labs = []
+        while len(labs) < mu:
+            v = rng.randint(lo, hi)
+            if v not in labs:
+                labs.append(v)
+        labels.append(tuple(labs))
+    return tuple(members), tuple(labels)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=SEEDS,
+    sizes=st.lists(st.integers(1, 25), min_size=2, max_size=4),
+    # the default range takes 33-bit draws; (1, 30) forces repeats, 2**40 wider words
+    identifier_range=st.sampled_from(
+        (DEFAULT_IDENTIFIER_RANGE, (1, 30), (7, 7 + 2**40), (0, 2**64))
+    ),
+)
+def test_build_layout_draws_as_stdlib_shuffle_and_randint(seed, sizes, identifier_range):
+    params = InstanceParams(sizes, [0] * len(sizes))
+    ours, ref = random.Random(seed), random.Random(seed)
+    layout = build_layout(params, ours, identifier_range=identifier_range)
+    want = _reference_layout(params, ref, identifier_range)
+    assert (layout.class_members, layout.labels) == want
+    assert ours.getstate() == ref.getstate()

@@ -125,3 +125,37 @@ def test_malformed_payload_rejected():
     with pytest.raises(WireFormatError):
         answer_from_json(doc)
 
+
+
+def test_answer_rejects_rows_off_the_msg_len_header():
+    _, _, store, side, _ = make_world((3, 3), (1, 1), msg_len=2)
+    doc = answer_to_json(usi_answer(usi_query(0, side), store, 1))
+    doc["payloads"][0]["symbols"][1].append(0)  # one row of 3 symbols
+    with pytest.raises(WireFormatError, match="row of 3 symbols, the header's msg_len is 2"):
+        answer_from_json(doc)
+    doc = answer_to_json(usi_answer(usi_query(0, side), store, 1))
+    doc["msg_len"] = 3  # every row now disagrees with the header
+    with pytest.raises(WireFormatError, match="msg_len is 3"):
+        answer_from_json(doc)
+    params, layout, store, side, _ = make_world((3, 3), (1, 0), msg_len=2, q=5)
+    pos_side = positional_side_info(layout, side)
+    doc = answer_to_json(fsi_answer(fsi_query(1, pos_side, params.class_sizes, 2), store))
+    doc["payloads"][0]["symbols"][0].pop()
+    with pytest.raises(WireFormatError, match="row of 1 symbols"):
+        answer_from_json(doc)
+
+
+def test_answer_rejects_repeated_identifiers():
+    _, _, store, side, _ = make_world((3, 3), (1, 1))
+    doc = answer_to_json(usi_answer(usi_query(0, side), store, 1))
+    order = doc["payloads"][0]["identifier_order"]  # (3, 1) is a parity class
+    order[2] = order[0]
+    with pytest.raises(WireFormatError, match=r"payload 0 \(class 0\) repeats an identifier"):
+        answer_from_json(doc)
+    _, _, store, side, _ = make_world((5, 5), (1, 1))
+    doc = answer_to_json(usi_answer(usi_query(0, side), store, 1))
+    labels = doc["payloads"][1]["labels"]  # (5, 1) sends two messages uncoded
+    labels[1] = labels[0]
+    doc["payloads"][1]["symbols"][1] = doc["payloads"][1]["symbols"][0]
+    with pytest.raises(WireFormatError, match="repeats an identifier"):
+        answer_from_json(doc)
