@@ -177,14 +177,17 @@ def _combine(field: FiniteField, coeffs, rows):
         if len(row) != length:
             raise CorruptionError(f"rows of lengths {length} and {len(row)}")
     bits = _slot_bits(field, len(rows)) if length >= _PACK_MIN_LEN else None
-    # range-check along the shorter axis: columns when L is short, rows otherwise
-    lines = list(zip(*rows)) if bits is None else rows
     q = field.q
-    for line in lines:
-        if min(line) < 0 or max(line) >= q:
+    for row in rows:
+        # min and max pay for their call only on long rows
+        if bits is None:
+            for s in row:
+                if not 0 <= s < q:
+                    raise CorruptionError(f"symbol outside [0, {q})")
+        elif min(row) < 0 or max(row) >= q:
             raise CorruptionError(f"symbol outside [0, {q})")
     if bits is None:
-        return _combine_scalar(field, coeffs, lines)
+        return _combine_scalar(field, coeffs, list(zip(*rows)))
     return _combine_packed(field, coeffs, rows, bits)
 
 

@@ -221,7 +221,7 @@ def build_layout(params: InstanceParams, seed, identifier_range=DEFAULT_IDENTIFI
     rng = as_rng(seed)
     lo, hi = identifier_range
     span = hi - lo + 1
-    if any(mu > span for mu in params.class_sizes):
+    if max(params.class_sizes) > span:
         raise ParameterError("identifier range too small for the class sizes")
     # rng.shuffle(indices), then rng.randint(lo, hi) per identifier
     getrandbits = rng.getrandbits
@@ -229,7 +229,7 @@ def build_layout(params: InstanceParams, seed, identifier_range=DEFAULT_IDENTIFI
     for i in range(len(indices) - 1, 0, -1):
         j = _below(getrandbits, i + 1)
         indices[i], indices[j] = indices[j], indices[i]
-    offsets = _draws(rng, span)
+    identifiers = map(lo.__add__, _draws(rng, span))
     members = []
     labels = []
     at = 0
@@ -237,9 +237,9 @@ def build_layout(params: InstanceParams, seed, identifier_range=DEFAULT_IDENTIFI
         members.append(tuple(indices[at: at + mu]))
         at += mu
         # a repeat is dropped and drawn again; the first mu draws cannot overshoot
-        labs = dict.fromkeys(map(lo.__add__, itertools.islice(offsets, mu)))
+        labs = dict.fromkeys(itertools.islice(identifiers, mu))
         while len(labs) < mu:
-            labs[lo + next(offsets)] = None
+            labs[next(identifiers)] = None
         labels.append(tuple(labs))
     return DatabaseLayout(params, tuple(members), tuple(labels))
 
@@ -259,9 +259,10 @@ def side_from_positions(layout: DatabaseLayout, positions_by_class) -> SideInfo:
     counts = []
     for i, positions in enumerate(positions_by_class):
         counts.append(len(positions))
+        labs, members = layout.labels[i], layout.class_members[i]
         for p in positions:
-            labels.append((i, layout.labels[i][p]))
-            indices.append(layout.class_members[i][p])
+            labels.append((i, labs[p]))
+            indices.append(members[p])
     return SideInfo(tuple(counts), tuple(sorted(labels)), tuple(sorted(indices)))
 
 

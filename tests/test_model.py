@@ -200,7 +200,7 @@ SEEDS = st.integers(0, 2**64 - 1)
 @st.composite
 def population_and_count(draw):
     # 21 is the largest population Random.sample always draws from a pool
-    mu = draw(st.one_of(st.sampled_from((1, 2, 20, 21, 22, 23, 60)), st.integers(1, 80)))
+    mu = draw(st.one_of(st.sampled_from((1, 2, 20, 21, 22, 23, 30, 60)), st.integers(1, 80)))
     k = draw(st.one_of(st.sampled_from((0, mu)), st.integers(0, mu)))
     return mu, k
 
@@ -211,7 +211,10 @@ def population_and_count(draw):
 @example(seed=1, shape=(21, 21))
 @example(seed=2, shape=(22, 0))
 @example(seed=3, shape=(22, 22))
-@example(seed=4, shape=(22, 6))
+@example(seed=4, shape=(22, 6))  # still a pool draw inside Random.sample
+@example(seed=2, shape=(22, 5))  # Random.sample's set branch; a pool draw differs here
+@example(seed=2, shape=(23, 3))
+@example(seed=2, shape=(30, 2))
 @example(seed=5, shape=(50, 10))
 def test_sample_positions_draws_as_stdlib_sample(seed, shape):
     mu, k = shape
