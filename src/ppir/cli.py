@@ -6,8 +6,9 @@ Subcommands: run (experiment config), capacity (rate calculators), oracle
 (`run` names each failing trial's checks on stderr), 2 configuration or
 format error, which covers every error `replay` raises and an instance the
 command-line parameters cannot describe, 3 internal error (an exception
-that is not a `PpirError`, reported on one line).  Each subcommand imports only the modules it uses, so `capacity`
-starts without loading the protocol, oracle, audit or config machinery.
+that is not a `PpirError`, reported on one line).  Each subcommand imports
+only the modules it uses, so `capacity` starts without loading the
+protocol, oracle, audit or config machinery.
 """
 
 from __future__ import annotations

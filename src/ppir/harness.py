@@ -293,12 +293,10 @@ def trial_seed(master_seed: int, instance: str, index: int) -> int:
     return int.from_bytes(hashlib.blake2b(blob, digest_size=8).digest(), "big")
 
 
-# run_trial's checks; a record names the ones its round failed
-TRIAL_CHECKS = ("cost", "rate", "new_count", "total_new", "bit_exact")
-
-
 @dataclass
 class TrialRecord:
+    """One round's outcome; failed_checks names each check of run_trial it failed."""
+
     instance: str
     index: int
     seed: int
@@ -344,8 +342,10 @@ def _instance_plan(params: InstanceParams, scheme: str, demand: int, num_desired
 def run_trial(params: InstanceParams, seed: int, scheme: str, demand: int, num_desired: int):
     """One seeded protocol round; raises on any contract violation.
 
-    Every check runs on every round; the record names the failed ones
-    (TRIAL_CHECKS; an fsi round has no new_count or total_new check).
+    Every check runs on every round: cost and rate against the closed forms,
+    new_count (each class yields `demand` new messages), total_new (no more
+    than the unheld messages) and bit_exact (decoded symbols equal the
+    store's); an fsi round has no new_count or total_new check.
     """
     iid, download, target_rate, unheld = _instance_plan(params, scheme, demand, num_desired)
     rng = as_rng(seed)

@@ -132,23 +132,23 @@ class SystematicMdsCode:
         outside [0, q), rows differ in length, or over-determined input is
         inconsistent.
         """
-        n = self.n
         by_pos = {}
         for pos, row in known:
-            if not 0 <= pos < n:
-                raise CorruptionError(f"position {pos} outside [0, {n})")
+            if not 0 <= pos < self.n:
+                raise CorruptionError(f"position {pos} outside [0, {self.n})")
             row = tuple(row)
-            if by_pos.setdefault(pos, row) != row:
+            if pos in by_pos and by_pos[pos] != row:
                 raise CorruptionError(f"conflicting rows supplied for position {pos}")
+            by_pos[pos] = row
         if len(by_pos) < self.k:
             raise InsufficientInformationError(
                 f"need {self.k} known positions, got {len(by_pos)}"
             )
         base = tuple(sorted(by_pos))[: self.k]
-        full = [None] * n
+        full = [None] * self.n
         for p in base:
             full[p] = by_pos[p]
-        rest = [p for p in range(n) if full[p] is None]
+        rest = [p for p in range(self.n) if full[p] is None]
         rows = _combine(self.field, self._recovery_matrix(base), [full[p] for p in base])
         for pos, row in zip(rest, rows):
             if pos in by_pos and by_pos[pos] != row:
