@@ -25,6 +25,22 @@ def make_world(class_sizes, side_counts, msg_len=1, q=None, seed=0):
     return params, layout, store, side, values
 
 
+def flip_first_decoded_symbol(monkeypatch, q):
+    """Make the harness's decoder return one wrong symbol, all else intact."""
+    from ppir import harness
+    from ppir.protocol import RetrievalResult
+
+    real = harness.decode_answer
+
+    def flipped(*args, **kwargs):
+        result = real(*args, **kwargs)
+        (lab, sym), *rest = result.decoded
+        wrong = ((sym[0] + 1) % q,) + tuple(sym[1:])
+        return RetrievalResult(((lab, wrong), *rest), result.new_from_class)
+
+    monkeypatch.setattr(harness, "decode_answer", flipped)
+
+
 def compositions(total, parts):
     """Ordered compositions of `total` into `parts` positive integers."""
     if parts == 1:

@@ -18,8 +18,8 @@ from fractions import Fraction
 import pytest
 
 from ppir.audit import MUTANT_SERVERS, audit_exact, audit_statistical, exact_audit_work
-from ppir.harness import run_trial, trial_seed
 from ppir.errors import PpirError
+from ppir.harness import run_trial, trial_seed
 from ppir.model import (
     InstanceParams,
     build_layout,
@@ -375,7 +375,7 @@ def test_criterion_11_exhaustive_per_class_recovery(acceptance_grid):
             if not good and first_bad is None:
                 first_bad = f"{params.class_sizes}/{params.side_counts} pairs {chosen}"
         instances += 1
-    ok = first_bad is None and instances == 800 and rounds >= 13_132
+    ok = first_bad is None and instances >= 800 and rounds >= 13_132
     _report(
         11,
         ok,

@@ -99,17 +99,9 @@ def test_run_command(tmp_path, capsys):
 
 
 def test_run_command_names_failed_checks_on_stderr(tmp_path, capsys, monkeypatch):
-    from ppir import harness
-    from ppir.protocol import RetrievalResult
+    from conftest import flip_first_decoded_symbol
 
-    real = harness.decode_answer
-
-    def flipped(*args, **kwargs):
-        result = real(*args, **kwargs)
-        (lab, sym), *rest = result.decoded
-        return RetrievalResult(((lab, ((sym[0] + 1) % 5,)), *rest), result.new_from_class)
-
-    monkeypatch.setattr(harness, "decode_answer", flipped)
+    flip_first_decoded_symbol(monkeypatch, 5)
     config = tmp_path / "config.yaml"
     config.write_text(
         "seed: 5\ntrials: 2\n"

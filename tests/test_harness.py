@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import make_world
+from conftest import flip_first_decoded_symbol, make_world
 from ppir.errors import ConfigError, ProtocolViolationError
 from ppir.harness import (
     auto_field_size,
@@ -232,29 +232,13 @@ def test_run_trial_usi_success():
     assert all(n >= 1 for n in record.new_from_class)
 
 
-def _flip_first_decoded_symbol(monkeypatch, q):
-    """Make the harness's decoder return one wrong symbol, all else intact."""
-    from ppir import harness
-    from ppir.protocol import RetrievalResult
-
-    real = harness.decode_answer
-
-    def flipped(*args, **kwargs):
-        result = real(*args, **kwargs)
-        (lab, sym), *rest = result.decoded
-        wrong = ((sym[0] + 1) % q,) + tuple(sym[1:])
-        return RetrievalResult(((lab, wrong), *rest), result.new_from_class)
-
-    monkeypatch.setattr(harness, "decode_answer", flipped)
-
-
 def test_run_trial_names_failed_checks(monkeypatch):
     from ppir.model import InstanceParams
 
     params = InstanceParams((3, 3), (1, 1), msg_len=2, q=5)
     honest = run_trial(params, 99, "usi", 1, 1)
     assert honest.success and honest.failed_checks == ()
-    _flip_first_decoded_symbol(monkeypatch, params.q)
+    flip_first_decoded_symbol(monkeypatch, params.q)
     record = run_trial(params, 99, "usi", 1, 1)
     assert record.failed_checks == ("bit_exact",)
     assert not record.success
@@ -271,7 +255,7 @@ def test_run_experiment_hands_failing_records_to_on_failure(monkeypatch):
     seen = []
     report, ok = run_experiment(config, on_failure=seen.append)
     assert ok and seen == []
-    _flip_first_decoded_symbol(monkeypatch, config.instances[0].q)
+    flip_first_decoded_symbol(monkeypatch, config.instances[0].q)
     report, ok = run_experiment(config, on_failure=seen.append)
     assert not ok
     assert [r.index for r in seen] == [0, 1, 2, 3]
