@@ -54,14 +54,6 @@ def _emit(doc: dict, args) -> None:
     print(json.dumps(doc, sort_keys=True, indent=2))
 
 
-def _print_failed_checks(record) -> None:
-    print(
-        f"failed: {record.instance} trial {record.index} (seed {record.seed}): "
-        + ", ".join(record.failed_checks),
-        file=sys.stderr,
-    )
-
-
 def cmd_run(args) -> int:
     from .harness import load_config, report_csv, run_experiment, write_report
 
@@ -81,7 +73,7 @@ def cmd_run(args) -> int:
         from dataclasses import replace
 
         config = replace(config, **overrides)
-    report, ok = run_experiment(config, on_failure=_print_failed_checks)
+    report, ok = run_experiment(config)
     if config.output:
         for path in write_report(report, config.output, config.formats):
             print(f"wrote {path}")

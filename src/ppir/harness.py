@@ -16,6 +16,7 @@ import hashlib
 import io
 import itertools
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -470,11 +471,11 @@ def _audit_section(params: InstanceParams, config: ExperimentConfig, seed: int) 
     return verdict.to_json()
 
 
-def run_experiment(config: ExperimentConfig, on_failure=None):
+def run_experiment(config: ExperimentConfig):
     """Execute the configured trials; returns (report_dict, all_passed).
 
-    on_failure, if given, is called with each failing TrialRecord, whose
-    failed_checks name what broke; the report itself does not carry them.
+    Each failing trial gets one stderr line naming its failed checks; the
+    report itself does not carry them.
     """
     report_instances = []
     all_ok = True
@@ -490,8 +491,11 @@ def run_experiment(config: ExperimentConfig, on_failure=None):
             if not record.success:
                 failures += 1
                 all_ok = False
-                if on_failure is not None:
-                    on_failure(record)
+                print(
+                    f"failed: {iid} trial {t} (seed {seed}): "
+                    + ", ".join(record.failed_checks),
+                    file=sys.stderr,
+                )
         if config.scheme == "fsi":
             capacity = None
         else:

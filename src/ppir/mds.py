@@ -176,11 +176,12 @@ def _combine(field: FiniteField, coeffs, rows):
     for row in rows:
         if len(row) != length:
             raise CorruptionError(f"rows of lengths {length} and {len(row)}")
-    bits = _slot_bits(field, len(rows)) if length >= _PACK_MIN_LEN else None
+    short = length < _PACK_MIN_LEN
+    bits = None if short else _slot_bits(field, len(rows))
     q = field.q
     for row in rows:
         # min and max pay for their call only on long rows
-        if bits is None:
+        if short:
             for s in row:
                 if not 0 <= s < q:
                     raise CorruptionError(f"symbol outside [0, {q})")

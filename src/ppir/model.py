@@ -51,11 +51,6 @@ def _below(getrandbits, n: int) -> int:
     return r
 
 
-def _draws(rng: random.Random, n: int):
-    """Endless `_below` draws from range(n); lazy, so only pulled values use bits."""
-    return filter(n.__gt__, map(rng.getrandbits, itertools.repeat(n.bit_length())))
-
-
 def sample_positions(rng: random.Random, mu: int, k: int) -> tuple[int, ...]:
     """sorted(rng.sample(range(mu), k)), with the same draws.
 
@@ -229,7 +224,9 @@ def build_layout(params: InstanceParams, seed, identifier_range=DEFAULT_IDENTIFI
     for i in range(len(indices) - 1, 0, -1):
         j = _below(getrandbits, i + 1)
         indices[i], indices[j] = indices[j], indices[i]
-    identifiers = map(lo.__add__, _draws(rng, span))
+    # lazy, so only the identifiers pulled use bits
+    draws = map(_below, itertools.repeat(getrandbits), itertools.repeat(span))
+    identifiers = map(lo.__add__, draws)
     members = []
     labels = []
     at = 0
@@ -248,7 +245,9 @@ def random_store(layout: DatabaseLayout, seed) -> MessageStore:
     """Independent uniform symbols for every message."""
     p = layout.params
     # rng.randrange(q) per symbol, grouped msg_len at a time into rows
-    symbols = itertools.islice(_draws(as_rng(seed), p.q), p.num_messages * p.msg_len)
+    getrandbits = as_rng(seed).getrandbits
+    count = p.num_messages * p.msg_len
+    symbols = map(_below, itertools.repeat(getrandbits, count), itertools.repeat(p.q))
     return MessageStore(layout, tuple(zip(*[symbols] * p.msg_len)))
 
 

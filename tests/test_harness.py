@@ -249,17 +249,19 @@ def test_run_trial_names_failed_checks(monkeypatch):
     }
 
 
-def test_run_experiment_hands_failing_records_to_on_failure(monkeypatch):
+def test_run_experiment_prints_failing_records_to_stderr(monkeypatch, capsys):
     doc = {"seed": 3, "trials": 4, "instances": [{"class_sizes": [3, 3], "side_counts": [1, 1]}]}
     config = config_from_dict(doc)
-    seen = []
-    report, ok = run_experiment(config, on_failure=seen.append)
-    assert ok and seen == []
+    report, ok = run_experiment(config)
+    assert ok and capsys.readouterr().err == ""
     flip_first_decoded_symbol(monkeypatch, config.instances[0].q)
-    report, ok = run_experiment(config, on_failure=seen.append)
+    report, ok = run_experiment(config)
     assert not ok
-    assert [r.index for r in seen] == [0, 1, 2, 3]
-    assert all(r.failed_checks == ("bit_exact",) for r in seen)
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(" (seed ")[0] for line in lines] == [
+        f"failed: c3x3-s1x1-L1-q5 trial {t}" for t in range(4)
+    ]
+    assert all(line.endswith("): bit_exact") for line in lines)
     assert report["instances"][0]["failures"] == 4
 
 
