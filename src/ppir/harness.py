@@ -31,6 +31,7 @@ from .errors import (
     SearchBudgetError,
     WireFormatError,
 )
+from .fields import next_prime
 from .model import (
     InstanceParams,
     as_rng,
@@ -50,6 +51,7 @@ from .protocol import (
     fsi_answer,
     fsi_decode,
     fsi_query,
+    longest_code_length,
     usi_answer,
     usi_query,
 )
@@ -222,7 +224,15 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                     "the mixed-side-information regime has no constructive scheme; "
                     "use the capacity calculator's conjecture bounds instead"
                 )
-        q = item.get("q") or auto_field_size(class_sizes, side_counts, demand, scheme)
+        q = item.get("q")
+        need = longest_code_length(class_sizes, side_counts, demand, scheme)
+        if q is None:
+            q = next_prime(need)
+        elif q < need:
+            raise ConfigError(
+                f"instances[{n}].q: q={q} is below {need}, the longest code "
+                f"the {scheme} scheme needs for this instance"
+            )
         try:
             params = InstanceParams(
                 class_sizes, side_counts, msg_len=item.get("msg_len", msg_len), q=q

@@ -17,7 +17,9 @@ least the lower bound.  The certificate walks a sequence of side-information
 set types whose overlap with the already-collected decoded indices grows,
 collecting one provably-decodable fresh index per step; each step and the
 final rank claim are verified by independent rank checks, so a walker bug
-cannot produce an unsound certificate.
+cannot produce an unsound certificate.  Below full demand a matrix may
+serve classes other than those with the smallest floors, so the served
+classes are tried subset by subset, smallest floor sum first.
 
 One span kernel serves every decodability question.  `_insert` adds one
 vector to a reduced echelon basis of (pivot, row) pairs, and u_j lies in the
@@ -25,12 +27,27 @@ span exactly when j is a pivot whose row has no other nonzero entry.
 `_decodable_set` splits a matrix's coordinates into blocks joined by column
 supports (a scheme answer is block-diagonal by class), answers each block
 on its own and memoizes the answer on the matrix, so the client checks, the
-certificate walk and its verification share the eliminations.  The
-exhaustive search visits column combinations in the lexicographic order of
-itertools.combinations; each client keeps the bases of the current prefix,
-so a candidate costs one insertion per client checked, and the checks stop
-at the first unsatisfied client.  `linalg.echelon` stays the independent
-rank check behind `EncodingMatrix.rank`.
+certificate walk and its verification share the eliminations.
+
+The client family is a product over classes, and it stays one over groups
+of classes joined by span blocks: what a client decodes in a group depends
+only on the side indices it holds there.  `_group_tables` therefore lists
+each group's partial side sets once (sum over groups of the product of
+C(mu_i, k_i), 30 instead of 1,000 sets for a (5,5,5)/(2,2,2) scheme answer)
+and records each one's first decodable pick per class.  The fewest classes
+any client hits is the sum of each group's fewest, which decides
+`all_clients_satisfied`; the certificate walk reads its picks and pools
+from the same memoized tables.  `client_satisfied` checks one client
+directly and stays the reference.
+
+The exhaustive search visits column combinations in the lexicographic order
+of itertools.combinations; each client keeps the bases of the current
+prefix, so a candidate costs one insertion per client checked.  The checks
+stop at the first unsatisfied client, which then moves to the front of the
+list (fail first): neighbouring candidates tend to fail on the same client,
+and neither the verdict nor a client's bases depend on the order.
+`linalg.echelon` stays the independent rank check behind
+`EncodingMatrix.rank`.
 """
 
 from __future__ import annotations
@@ -158,11 +175,15 @@ class PicodInstance:
             out *= math.comb(len(members), k)
         return out
 
-    def side_family(self, cap: int = 100_000):
-        """All count-feasible side-information index sets, canonical order."""
+    def check_family_cap(self, cap: int) -> None:
+        """Refuse a side family larger than cap before enumerating any of it."""
         total = self.side_family_size()
         if total > cap:
             raise EnumerationCapError(f"{total} side sets exceed cap {cap}")
+
+    def side_family(self, cap: int = 100_000):
+        """All count-feasible side-information index sets, canonical order."""
+        self.check_family_cap(cap)
         per_class = [
             list(itertools.combinations(members, k))
             for members, k in zip(self.class_members, self.side_counts)
@@ -224,20 +245,22 @@ def _unit_pivots(basis):
     return [p for p, row in basis if len(row) - row.count(0) == 1]
 
 
-def _decodable_set(matrix: EncodingMatrix, side_set) -> set:
+def _decodable_set(matrix: EncodingMatrix, side_set, block_ids=None) -> set:
     """Indices outside side_set that a client holding side_set can recover.
 
     Dropping the side coordinates turns the question into u_m in the row
     space of the restricted broadcasts.  In reduced echelon form u_j lies in
     the row space exactly when column j is a pivot whose row has no other
     nonzero entry.  The span is the direct sum of the block spans, so each
-    block is answered on its own and memoized on the matrix.
+    block is answered on its own and memoized on the matrix; block_ids
+    limits the answer to those blocks' coordinates.
     """
     side = set(side_set)
     field = make_field(matrix.q)
     blocks, memo = matrix._span_blocks
     found = set()
-    for b, (coords, columns) in enumerate(blocks):
+    for b in range(len(blocks)) if block_ids is None else block_ids:
+        coords, columns = blocks[b]
         keep = tuple(itertools.filterfalse(side.__contains__, coords))
         hit = memo.get((b, keep))
         if hit is None:
@@ -254,28 +277,78 @@ def decodable(m: int, matrix: EncodingMatrix, side_set) -> bool:
     return m in side_set or m in _decodable_set(matrix, side_set)
 
 
-def _decodable_map(matrix: EncodingMatrix, side_set, instance: PicodInstance):
-    """First decodable new index per class for one client, None if none."""
-    found = _decodable_set(matrix, side_set)
-    return tuple(
-        next(filter(found.__contains__, members), None)
-        for members in instance.class_members
-    )
+def _first_picks(found, class_members):
+    """First index of each class that lies in found, None where none does."""
+    return tuple(next(filter(found.__contains__, members), None) for members in class_members)
+
+
+def _hits(picks) -> int:
+    return len(picks) - picks.count(None)
 
 
 def client_satisfied(matrix: EncodingMatrix, side_set, instance: PicodInstance) -> bool:
-    """At least demand_classes classes hold a decodable new message."""
-    hits = sum(1 for m in _decodable_map(matrix, side_set, instance) if m is not None)
-    return hits >= instance.demand_classes
+    """At least demand_classes classes hold a decodable new message.
+
+    The per-client reference for all_clients_satisfied.
+    """
+    found = _decodable_set(matrix, side_set)
+    return _hits(_first_picks(found, instance.class_members)) >= instance.demand_classes
+
+
+def _group_tables(matrix: EncodingMatrix, instance: PicodInstance, cap: int):
+    """Each class group's first decodable picks, per partial side set.
+
+    Classes whose coordinates share a span block form a group; what a
+    client decodes in a group's classes depends only on the side indices it
+    holds there, and the side family is the product of the groups'
+    families.  Returns (classes, table) per group, where table maps each
+    partial side set (sorted indices within the group's classes) to the
+    first decodable index of each of those classes.  The cap applies to the
+    full product; the tables are memoized with the span blocks.
+    """
+    instance.check_family_cap(cap)
+    blocks, memo = matrix._span_blocks
+    key = ("groups", instance.class_members, instance.side_counts)
+    groups = memo.get(key)
+    if groups is not None:
+        return groups
+    class_of = {m: j for j, members in enumerate(instance.class_members) for m in members}
+    label = list(range(instance.num_classes))  # class -> lowest class of its group
+    for coords, _ in blocks:
+        joined = {label[class_of[i]] for i in coords}
+        low = min(joined)
+        label = [low if g in joined else g for g in label]
+    groups = []
+    for g in sorted(set(label)):
+        classes = tuple(j for j in range(instance.num_classes) if label[j] == g)
+        block_ids = [b for b, (coords, _) in enumerate(blocks) if label[class_of[coords[0]]] == g]
+        members = [instance.class_members[j] for j in classes]
+        per_class = [
+            itertools.combinations(instance.class_members[j], instance.side_counts[j])
+            for j in classes
+        ]
+        table = {}
+        for combo in itertools.product(*per_class):
+            partial = tuple(sorted(itertools.chain.from_iterable(combo)))
+            table[partial] = _first_picks(_decodable_set(matrix, partial, block_ids), members)
+        groups.append((classes, table))
+    memo[key] = groups
+    return groups
 
 
 def all_clients_satisfied(
     matrix: EncodingMatrix, instance: PicodInstance, cap: int = 100_000
 ) -> bool:
-    return all(
-        client_satisfied(matrix, side, instance)
-        for side in instance.side_family(cap)
+    """Every count-feasible client decodes new messages from demand_classes classes.
+
+    A client's hits are the sum of its hits in each class group, and each
+    group's share ranges over that group's partial side sets independently,
+    so the fewest hits over the family is the sum of each group's fewest.
+    """
+    fewest = sum(
+        min(map(_hits, table.values())) for _, table in _group_tables(matrix, instance, cap)
     )
+    return fewest >= instance.demand_classes
 
 
 # --- scheme answer as an encoding matrix --------------------------------------
@@ -426,7 +499,8 @@ def min_code_length_bruteforce(
     Scans canonical column subsets for l = 1..l_max in the lexicographic
     order of itertools.combinations.  Each client keeps the bases of the
     current prefix, so a candidate costs one insertion per client checked,
-    and the checks stop at the first unsatisfied client.  `budget` bounds
+    and the checks stop at the first unsatisfied client, which moves to the
+    front of the client list.  `budget` bounds
     the number of candidate matrices examined; exceeding it raises
     SearchBudgetError carrying the lengths already exhausted.  The points
     are listed only once length 1 fits the budget, so an instance far past
@@ -454,7 +528,12 @@ def min_code_length_bruteforce(
         for combo in itertools.combinations(range(num_points), l):
             examined += 1
             prefix, last = combo[:-1], combo[-1]
-            if all(client.satisfied(field, prefix, last) for client in clients):
+            for at, client in enumerate(clients):
+                if not client.satisfied(field, prefix, last):
+                    if at:  # fail first: the rejecting client leads next time
+                        clients.insert(0, clients.pop(at))
+                    break
+            else:
                 witness = EncodingMatrix(tuple(points[i] for i in combo), q)
                 return SearchResult(True, l, witness, examined, tuple(exhausted))
         exhausted.append(l)
@@ -527,25 +606,31 @@ class _Walker:
     """Set-type walk collecting provably decodable fresh indices."""
 
     def __init__(self, matrix, instance, cap):
-        self.matrix = matrix
+        if not all_clients_satisfied(matrix, instance, cap):
+            raise ParameterError("matrix does not satisfy every client; certificate undefined")
         self.inst = instance
-        self.family = instance.side_family(cap)
-        self.greedy = {}
-        for side in self.family:
-            picks = _decodable_map(matrix, side, instance)
-            if sum(1 for m in picks if m is not None) < instance.demand_classes:
-                raise ParameterError(
-                    "matrix does not satisfy every client; certificate undefined"
-                )
-            self.greedy[side] = picks
+        self.groups = _group_tables(matrix, instance, cap)
+        self.slot = {}  # class -> (group, position among the group's classes)
+        self.group_of = {}  # message index -> group
+        for g, (classes, _) in enumerate(self.groups):
+            for at, j in enumerate(classes):
+                self.slot[j] = g, at
+                self.group_of.update(dict.fromkeys(instance.class_members[j], g))
+
+    def pick(self, side, j):
+        """First decodable index of class j for the client holding side."""
+        g, at = self.slot[j]
+        group_of = self.group_of
+        return self.groups[g][1][tuple(m for m in side if group_of[m] == g)][at]
 
     def decoded_pools(self, chosen):
+        """Per chosen class, every index some client picks first there."""
         pools = {}
         for j in chosen:
-            pool = sorted(
-                {picks[j] for picks in self.greedy.values() if picks[j] is not None}
-            )
-            pools[j] = tuple(pool)
+            g, at = self.slot[j]
+            pool = {picks[at] for picks in self.groups[g][1].values()}
+            pool.discard(None)
+            pools[j] = tuple(sorted(pool))
         return pools
 
     def build_side_set(self, chosen, collected_by_class, pools, sacrificed, targets):
@@ -590,7 +675,7 @@ class _Walker:
         def collect_from(side, targets):
             got = []
             for j in targets:
-                tau = self.greedy[side][j]
+                tau = self.pick(side, j)
                 if tau is None or tau in collected or tau in sacrificed.get(j, ()):
                     # force the conflicting index into the side set and retry
                     return None, j, tau
@@ -656,15 +741,41 @@ def rank_lower_bound_certificate(
 ) -> CertificateReport:
     """Constructive witness that rank(matrix) meets the broadcast lower bound.
 
-    Requires the matrix to satisfy every client.  Raises CertificateError
-    (with the partial report attached) if the walk cannot be completed or a
-    rank check fails; that would falsify the lower bound and is treated as
-    an implementation bug signal.
+    Requires the matrix to satisfy every client.  The served classes are
+    first the demand_classes ones with the smallest floors; below full
+    demand a matrix may serve others, so on failure every other subset of
+    that many classes is tried, by floor sum and then subset, each through
+    the same walk, fallback search and rank checks.  Raises the first
+    attempt's CertificateError (with the partial report attached) if all
+    fail; that would falsify the lower bound and is treated as an
+    implementation bug signal.
     """
     walker = _Walker(matrix, instance, cap)
-    inst = instance
-    floors, order = _ordered_classes(inst)
-    chosen = tuple(order[: inst.demand_classes])
+    floors, order = _ordered_classes(instance)
+    first = tuple(order[: instance.demand_classes])
+    try:
+        return _certify(matrix, walker, floors, first)
+    except CertificateError as exc:
+        error = exc
+    others = sorted(
+        (
+            subset
+            for subset in itertools.combinations(range(instance.num_classes), len(first))
+            if set(subset) != set(first)
+        ),
+        key=lambda subset: (sum(floors[j] for j in subset), subset),
+    )
+    for subset in others:
+        try:
+            return _certify(matrix, walker, floors, tuple(j for j in order if j in subset))
+        except CertificateError:
+            pass
+    raise error
+
+
+def _certify(matrix, walker, floors, chosen) -> CertificateReport:
+    """The certificate with `chosen` as the served classes, or CertificateError."""
+    inst = walker.inst
     rank_floor = sum(floors[j] for j in chosen)
     decoded_floor = sum(inst.side_counts[j] + 1 for j in chosen)
     tilde = [

@@ -110,8 +110,8 @@ def expected_download_rows(class_sizes, side_counts, demand: int = 1) -> int:
     )
 
 
-def auto_field_size(class_sizes, side_counts, demand: int = 1, scheme: str = "usi") -> int:
-    """Smallest prime covering every parity-branch code length.
+def longest_code_length(class_sizes, side_counts, demand: int = 1, scheme: str = "usi") -> int:
+    """Longest parity-branch code length, at least 2; an MDS code needs q >= it.
 
     For fsi it also covers the joint code, of length 2*Gamma - eta + 1 with
     eta = max(#classes with k_i > 0, 1).
@@ -123,7 +123,12 @@ def auto_field_size(class_sizes, side_counts, demand: int = 1, scheme: str = "us
     if scheme == "fsi":
         eta = max(sum(1 for k in side_counts if k > 0), 1)
         need = max(need, 2 * len(class_sizes) - eta + 1)
-    return next_prime(need)
+    return need
+
+
+def auto_field_size(class_sizes, side_counts, demand: int = 1, scheme: str = "usi") -> int:
+    """Smallest prime covering every code length (see longest_code_length)."""
+    return next_prime(longest_code_length(class_sizes, side_counts, demand, scheme))
 
 
 # --- unidentified side information -----------------------------------------
@@ -209,9 +214,10 @@ def decode_answer(
     """Recover every new message the answer yields, class by class.
 
     Raises ProtocolViolationError unless the answer covers exactly the
-    classes of the side information, each once, every parity payload
-    carries code_length - mu rows, and each class yields at least `demand`
-    new messages, so every class can serve as the desired one.
+    classes of the side information, each once, no uncoded payload repeats
+    a label, every parity payload carries code_length - mu rows, and each
+    class yields at least `demand` new messages, so every class can serve as
+    the desired one.
 
     side_values maps each side-information label pair to its held symbols.
     code_factory builds the (n, k, q) erasure code named by parity headers.
@@ -229,6 +235,8 @@ def decode_answer(
         if i in counts:
             raise ProtocolViolationError(f"answer carries class {i} twice")
         if payload.mode == "uncoded":
+            if len(set(payload.labels)) != len(payload.labels):
+                raise ProtocolViolationError(f"uncoded class {i} repeats a label")
             new = [
                 (lab, tuple(row))
                 for lab, row in zip(payload.labels, payload.symbols)

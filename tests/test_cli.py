@@ -349,6 +349,19 @@ def test_run_command_demand_above_unheld_count_is_config_error(tmp_path, capsys)
     assert err.startswith("error: instances[0]: class 2") and "Traceback" not in err
 
 
+def test_run_command_explicit_q_below_code_length_is_config_error(tmp_path, capsys):
+    # class 0 of (5,5)/(2,1) needs an [8, 5] code; q = 7 used to load and stop
+    # mid-run with exit 1, the code for a failed check
+    config = tmp_path / "small_q.yaml"
+    config.write_text(
+        "trials: 3\n"
+        "instances:\n  - class_sizes: [5, 5]\n    side_counts: [2, 1]\n    q: 7\n"
+    )
+    code, out, err = run_cli(capsys, "run", str(config))
+    assert code == 2 and out == ""
+    assert err.startswith("error: instances[0].q: q=7 is below 8") and "Traceback" not in err
+
+
 def test_escaped_exception_is_an_internal_error(monkeypatch, capsys):
     from ppir import rates
 

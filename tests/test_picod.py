@@ -13,7 +13,9 @@ from ppir.picod import (
     EncodingMatrix,
     PicodInstance,
     SearchResult,
+    _Walker,
     _decodable_set,
+    _group_tables,
     _insert,
     _projective_points,
     _unit_pivots,
@@ -98,6 +100,26 @@ def test_side_family_enumeration_and_cap():
     assert all(len(s) == 2 for s in family)
     with pytest.raises(EnumerationCapError):
         instance.side_family(cap=3)
+
+
+def test_group_tables_split_block_diagonal_matrices_by_class():
+    # a (2,3) scheme-like matrix: class 0 sends one unit column, class 1 two
+    # columns over its own coordinates, so each class is its own group and
+    # the tables hold C(2,1) + C(3,1) = 5 partial side sets, not 2 * 3
+    instance = inst((2, 3), (1, 1), q=5)
+    matrix = EncodingMatrix(((1, 0, 0, 0, 0), (0, 0, 1, 1, 1), (0, 0, 1, 2, 3)), 5)
+    groups = _group_tables(matrix, instance, cap=6)
+    assert [classes for classes, _ in groups] == [(0,), (1,)]
+    assert groups[0][1] == {(0,): (None,), (1,): (0,)}
+    assert sorted(groups[1][1]) == [(2,), (3,), (4,)]
+    assert all_clients_satisfied(matrix, instance) is False  # holding 0 leaves class 0 dry
+    assert all_clients_satisfied(matrix, inst((2, 3), (1, 1), q=5, t=1))
+    # one cross-class column joins both classes into a single group
+    joined = EncodingMatrix(matrix.columns + ((0, 1, 1, 0, 0),), 5)
+    assert [classes for classes, _ in _group_tables(joined, instance, cap=6)] == [(0, 1)]
+    # the memo never skips the cap, which applies to the full product
+    with pytest.raises(EnumerationCapError, match="6 side sets exceed cap 5"):
+        all_clients_satisfied(matrix, instance, cap=5)
 
 
 def test_instance_validation():
@@ -313,6 +335,79 @@ def test_decodable_matches_explicit_solve_random_matrices(data):
             assert decodable(m, fresh, side_set) == (combo is not None)
 
 
+@st.composite
+def _classed_matrices(draw):
+    """A random class partition and a matrix over it: columns inside one
+    class (block-diagonal by class), across classes, or zero, or one of
+    _structured_matrices' block-diagonal shuffles."""
+    if draw(st.booleans()):
+        matrix = draw(_structured_matrices())
+        q, f = matrix.q, matrix.num_messages
+    else:
+        q = draw(st.sampled_from([2, 3, 4]))
+        f = draw(st.integers(1, 6))
+        matrix = None
+    order = draw(st.permutations(range(f)))
+    cuts = sorted(draw(st.sets(st.integers(1, f - 1)))) if f > 1 else []
+    members = tuple(
+        tuple(sorted(order[a:b])) for a, b in zip([0, *cuts], [*cuts, f])
+    )
+    if matrix is None:
+        columns = []
+        for _ in range(draw(st.integers(0, 5))):
+            support = draw(st.sampled_from([*members, range(f), ()]))
+            col = [0] * f
+            for i in support:
+                col[i] = draw(st.integers(0, q - 1))
+            columns.append(tuple(col))
+        matrix = EncodingMatrix(tuple(columns), q)
+    side_counts = tuple(draw(st.integers(0, len(m))) for m in members)
+    return matrix, members, side_counts
+
+
+def _reference_picks(matrix, side, members):
+    """Per class, the first index a client holding side decodes anew."""
+    return tuple(
+        next((m for m in ms if m not in side and decodable(m, matrix, side)), None)
+        for ms in members
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_classed_matrices())
+def test_group_tables_match_per_client_checks(case):
+    # q in {2, 3, 4}, every demand: the product decomposition agrees with
+    # checking every client of the full family, and the certificate's pools
+    # are the per-client first picks gathered over the family
+    matrix, members, side_counts = case
+    f, q = matrix.num_messages, matrix.q
+    for t in range(1, len(members) + 1):
+        if sum(side_counts) > f - t:
+            continue
+        instance = PicodInstance(members, side_counts, t, q)
+        fresh = EncodingMatrix(matrix.columns, q)
+        family = instance.side_family()
+        want = all(client_satisfied(fresh, side, instance) for side in family)
+        assert all_clients_satisfied(matrix, instance) == want
+        assert all_clients_satisfied(matrix, instance) == want  # memoized tables
+        if not want:
+            with pytest.raises(ParameterError):
+                rank_lower_bound_certificate(matrix, instance)
+            continue
+        picks = {side: _reference_picks(fresh, side, members) for side in family}
+        walker = _Walker(matrix, instance, 100_000)
+        for side in family:
+            assert tuple(walker.pick(side, j) for j in range(len(members))) == picks[side]
+        gathered = {
+            j: tuple(sorted({p[j] for p in picks.values()} - {None}))
+            for j in range(len(members))
+        }
+        assert walker.decoded_pools(range(len(members))) == gathered
+        cert = rank_lower_bound_certificate(matrix, instance)
+        assert cert.ok and cert.rank_floor >= broadcast_lower_bound(instance)
+        assert cert.decoded_pool == {j: gathered[j] for j in cert.chosen_classes}
+
+
 def test_span_blocks_follow_column_supports():
     # coordinates 0 and 3 are joined by a column, 1 stands alone, 2 and 4
     # are covered by no column; zero columns belong to no block
@@ -473,6 +568,36 @@ def test_certificate_partial_demand():
     cert = rank_lower_bound_certificate(identity, instance)
     assert cert.ok
     assert cert.rank_floor == broadcast_lower_bound(instance)
+
+
+def test_certificate_below_full_demand_on_every_minimum_witness():
+    # every shape with f <= 5 over GF(2) and f <= 4 over GF(3), every t < Gamma:
+    # the minimum witness is certified at the bound.  55 of the 154 serve
+    # classes other than the t with the smallest floors, which used to raise
+    # CertificateError; the retry over the other t-subsets certifies them
+    from conftest import compositions
+
+    certified = retried = 0
+    for q, max_f in ((2, 5), (3, 4)):
+        for f in range(2, max_f + 1):
+            for gamma in range(2, f + 1):
+                for sizes in compositions(f, gamma):
+                    for counts in itertools.product(*[range(mu) for mu in sizes]):
+                        for t in range(1, gamma):
+                            if sum(counts) > f - t:
+                                continue
+                            instance = inst(sizes, counts, q=q, t=t)
+                            bound = broadcast_lower_bound(instance)
+                            result = min_code_length_bruteforce(instance, bound)
+                            assert result.min_length == bound, (sizes, counts, q, t)
+                            cert = rank_lower_bound_certificate(result.witness, instance)
+                            assert cert.ok and cert.rank_floor == bound
+                            assert bound <= len(cert.collected) <= cert.matrix_rank
+                            floors = [class_floor(mu, k) for mu, k in zip(sizes, counts)]
+                            first = sorted(range(gamma), key=lambda j: (floors[j], j))[:t]
+                            retried += set(cert.chosen_classes) != set(first)
+                            certified += 1
+    assert certified == 154 and retried == 55
 
 
 def test_certificate_report_serializes():

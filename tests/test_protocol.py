@@ -209,6 +209,30 @@ def test_decode_rejects_duplicate_class_payload():
         decode_answer(doubled, side, values)
 
 
+def test_decode_rejects_repeated_uncoded_label():
+    # one new label appended twice to class 0 used to decode to
+    # new_from_class (5, 2), the copies counted as new messages
+    params, _, store, side, values = make_world((5, 5), (1, 1))
+    answer = usi_answer(usi_query(0, side, demand=2), store, 7)
+    assert decode_answer(answer, side, values, demand=2).new_from_class == (3, 2)
+    first = answer.payloads[0]
+    lab, row = next(
+        (lab, row) for lab, row in zip(first.labels, first.symbols)
+        if lab not in side.label_set
+    )
+    padded = ClassPayload(
+        class_id=0,
+        mode="uncoded",
+        labels=first.labels + (lab, lab),
+        identifier_order=None,
+        code_length=None,
+        symbols=first.symbols + (row, row),
+    )
+    bad = Answer(answer.q, answer.msg_len, (padded,) + answer.payloads[1:])
+    with pytest.raises(ProtocolViolationError, match="class 0 repeats a label"):
+        decode_answer(bad, side, values, demand=2)
+
+
 def test_decode_with_other_side_same_counts():
     # an answer serves any side information set with the same count profile
     params, layout, store, side, _ = make_world((4, 3), (1, 1), seed=8)
