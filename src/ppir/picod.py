@@ -500,11 +500,11 @@ def min_code_length_bruteforce(
     order of itertools.combinations.  Each client keeps the bases of the
     current prefix, so a candidate costs one insertion per client checked,
     and the checks stop at the first unsatisfied client, which moves to the
-    front of the client list.  `budget` bounds
-    the number of candidate matrices examined; exceeding it raises
-    SearchBudgetError carrying the lengths already exhausted.  The points
-    are listed only once length 1 fits the budget, so an instance far past
-    it fails at once instead of listing (q^f - 1)/(q - 1) vectors.
+    front of the client list.  `budget` bounds the number of candidate
+    matrices examined; exceeding it raises SearchBudgetError carrying the
+    lengths already exhausted.  The points are listed only once length 1
+    fits the budget, so an instance far past it fails at once instead of
+    listing (q^f - 1)/(q - 1) vectors.
     """
     family = instance.side_family(cap)
     q, f = instance.q, instance.num_messages
@@ -742,34 +742,25 @@ def rank_lower_bound_certificate(
     """Constructive witness that rank(matrix) meets the broadcast lower bound.
 
     Requires the matrix to satisfy every client.  The served classes are
-    first the demand_classes ones with the smallest floors; below full
-    demand a matrix may serve others, so on failure every other subset of
-    that many classes is tried, by floor sum and then subset, each through
-    the same walk, fallback search and rank checks.  Raises the first
-    attempt's CertificateError (with the partial report attached) if all
-    fail; that would falsify the lower bound and is treated as an
-    implementation bug signal.
+    tried as subsets of demand_classes classes ordered by floor sum and then
+    subset, each through the same walk, fallback search and rank checks;
+    the first is the demand_classes classes with the smallest floors, the
+    only subset at full demand.  Raises the first attempt's CertificateError
+    (with the partial report attached) if all fail; that would falsify the
+    lower bound and is treated as an implementation bug signal.
     """
     walker = _Walker(matrix, instance, cap)
     floors, order = _ordered_classes(instance)
-    first = tuple(order[: instance.demand_classes])
-    try:
-        return _certify(matrix, walker, floors, first)
-    except CertificateError as exc:
-        error = exc
-    others = sorted(
-        (
-            subset
-            for subset in itertools.combinations(range(instance.num_classes), len(first))
-            if set(subset) != set(first)
-        ),
+    subsets = sorted(
+        itertools.combinations(range(instance.num_classes), instance.demand_classes),
         key=lambda subset: (sum(floors[j] for j in subset), subset),
     )
-    for subset in others:
+    error = None
+    for subset in subsets:
         try:
             return _certify(matrix, walker, floors, tuple(j for j in order if j in subset))
-        except CertificateError:
-            pass
+        except CertificateError as exc:
+            error = error or exc
     raise error
 
 
