@@ -61,7 +61,8 @@ def main():
                 mismatches += 1
             print(
                 f"{sizes} {counts} GF({q}): min={found} bound={lower} "
-                f"upper={upper} examined={result.examined} ({elapsed:.2f}s) {status}"
+                f"upper={upper} examined={result.examined} checked={result.checked} "
+                f"({elapsed:.2f}s) {status}"
             )
     return 1 if mismatches else 0
 

@@ -121,8 +121,12 @@ def cmd_capacity(args) -> int:
 def cmd_oracle(args) -> int:
     from . import picod
 
+    floors = (("--t", args.t, 1), ("--l-max", args.l_max, 1), ("--budget", args.budget, 0))
+    for flag, value, least in floors:
+        if value is not None and value < least:
+            raise ConfigError(f"{flag} must be at least {least}, got {value}")
     params = _params_from_args(args)
-    t = args.t or params.num_classes
+    t = params.num_classes if args.t is None else args.t
     inst = _from_flags(picod.instance_from_params, params, demand_classes=t)
     lower = picod.broadcast_lower_bound(inst)
     upper = picod.broadcast_upper_bound(params.num_messages, params.total_side, t)
@@ -141,7 +145,12 @@ def cmd_oracle(args) -> int:
     if not args.skip_search:
         try:
             search = picod.min_code_length_bruteforce(
-                inst, args.l_max or lower, budget=args.budget
+                inst, lower if args.l_max is None else args.l_max, budget=args.budget
+            )
+            print(
+                f"search: checked {search.checked} of {search.examined} candidates, "
+                f"{search.group_elements} group elements",
+                file=sys.stderr,
             )
             doc["bruteforce"] = search.to_json()
             if search.found:

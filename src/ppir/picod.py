@@ -40,14 +40,26 @@ any client hits is the sum of each group's fewest, which decides
 from the same memoized tables.  `client_satisfied` checks one client
 directly and stays the reference.
 
-The exhaustive search visits column combinations in the lexicographic order
-of itertools.combinations; each client keeps the bases of the current
-prefix, so a candidate costs one insertion per client checked.  The checks
-stop at the first unsatisfied client, which then moves to the front of the
-list (fail first): neighbouring candidates tend to fail on the same client,
-and neither the verdict nor a client's bases depend on the order.
-`linalg.echelon` stays the independent rank check behind
-`EncodingMatrix.rank`.
+The exhaustive search answers as the plain scan of column combinations in
+the lexicographic order of itertools.combinations would: the first set that
+satisfies every client, and the scan's candidate count.  It checks far
+fewer.  The client family is invariant under the instance's monomial group
+G (scaling a coordinate, permuting messages within a class, permuting
+classes with equal (mu_i, k_i)), which permutes the projective points, and
+the search is orderly generation (Read, "Every one a winner", Ann. Discrete
+Math. 1978): a depth-first walk over sorted prefixes that extends a prefix
+only while no listed element of G maps it to a smaller sorted tuple.  That
+is exact for any listed subset of G: satisfaction is G-invariant; dropping
+the largest element of a set least in its orbit leaves a set least in its
+orbit; and the first satisfying set is least in its orbit, so the walk
+reaches it through its prefixes.  `examined` is sum C(n, l) over the
+exhausted lengths plus the witness's lexicographic rank plus one.  Each
+client keeps the bases of the current prefix, so a candidate costs one
+insertion per client checked; the checks stop at the first unsatisfied
+client, which then moves to the front of the list (fail first), since
+neighbouring candidates tend to fail on the same client and neither the
+verdict nor a client's bases depend on the order.  `linalg.echelon` stays
+the independent rank check behind `EncodingMatrix.rank`.
 """
 
 from __future__ import annotations
@@ -55,6 +67,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 from . import linalg
@@ -414,6 +427,8 @@ def broadcast_upper_bound(num_messages: int, total_side: int, demand_classes: in
 
 # --- exhaustive minimum-length search ------------------------------------------
 
+GROUP_ENTRY_CAP = 1 << 18  # listed group elements times points, per search
+
 
 def _projective_points(q: int, f: int):
     """Nonzero vectors with leading coefficient one, lexicographic order.
@@ -431,6 +446,74 @@ def _projective_points(q: int, f: int):
     return points
 
 
+def _group_generators(instance: PicodInstance, points):
+    """Generators of the instance's monomial group as point permutations.
+
+    Adjacent transpositions within each class, swaps of neighbouring classes
+    with equal (mu, k), and, when q > 2, one primitive-element scaling per
+    coordinate; each maps a point to the normalized image of its vector.
+    """
+    q, f = instance.q, instance.num_messages
+    field = make_field(q)
+    index = {p: i for i, p in enumerate(points)}
+
+    def as_permutation(vector_map):
+        perm = []
+        for p in points:
+            vec = vector_map(p)
+            lead = next(filter(None, vec))
+            if lead != 1:
+                vec = tuple(field.div(x, lead) for x in vec)
+            perm.append(index[vec])
+        return tuple(perm)
+
+    def swap(pairs):
+        moved = list(range(f))
+        for a, b in pairs:
+            moved[a], moved[b] = b, a
+        return lambda p: tuple(p[j] for j in moved)
+
+    gens = []
+    for members in instance.class_members:
+        gens += [swap([(a, b)]) for a, b in zip(members, members[1:])]
+    shapes = list(zip(instance.class_sizes, instance.side_counts))
+    for i in range(instance.num_classes):
+        j = next((j for j in range(i + 1, instance.num_classes) if shapes[j] == shapes[i]), None)
+        if j is not None:
+            gens.append(swap(zip(instance.class_members[i], instance.class_members[j])))
+    if q > 2:
+        alpha = next(
+            a for a in range(2, q) if len({field.pow(a, e) for e in range(q - 1)}) == q - 1
+        )
+        for c in range(f):
+            gens.append(lambda p, c=c: p[:c] + (field.mul(alpha, p[c]),) + p[c + 1:])
+    return [as_permutation(g) for g in gens]
+
+
+def _group_elements(instance: PicodInstance, points):
+    """Elements of the monomial group other than the identity, up to the cap.
+
+    Breadth-first products of the generators, the generators first; the
+    listing stops before elements times points would pass GROUP_ENTRY_CAP,
+    so a large group is listed only in part.  Pruning is sound for any subset.
+    """
+    n = len(points)
+    if n > GROUP_ENTRY_CAP:
+        return []
+    gens = _group_generators(instance, points)
+    queue = [tuple(range(n))]
+    seen = set(queue)
+    for element in queue:
+        for gen in gens:
+            product = tuple(map(gen.__getitem__, element))
+            if product not in seen:
+                if len(queue) * n > GROUP_ENTRY_CAP:
+                    return queue[1:]
+                seen.add(product)
+                queue.append(product)
+    return queue[1:]
+
+
 @dataclass(frozen=True)
 class SearchResult:
     found: bool
@@ -438,6 +521,10 @@ class SearchResult:
     witness: EncodingMatrix | None
     examined: int
     exhausted_lengths: tuple[int, ...]
+    # leaves whose clients were checked, and group elements listed with the
+    # identity: observability only, outside to_json() and equality
+    checked: int = field(default=0, compare=False)
+    group_elements: int = field(default=0, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -488,6 +575,105 @@ class _PrefixSpans:
         return len({classes[p] for p in _unit_pivots(basis)}) >= self.demand
 
 
+class _OrderlyWalk:
+    """Depth-first walk over sorted point-index tuples, least in their orbits.
+
+    Sets are compared as sorted tuples, so A precedes B exactly when the
+    smallest element of their symmetric difference lies in A; on bitmasks
+    that is one xor and one lowest-bit test.  Each prefix P of the walk is
+    least in its orbit, so for a listed element g either g fixes P as a set,
+    and the child P + (x,) fails exactly when g(x) < x, or m, the smallest
+    element of P not in g(P), lies in P, and the child stays least when
+    g(x) > m, fails when g(x) < m and needs one mask test when g(x) == m.  A prefix therefore costs one pass over the elements and a
+    child one comparison per element, in C.
+    """
+
+    def __init__(self, instance: PicodInstance, family, points):
+        self.clients = [_PrefixSpans(instance, side, points) for side in family]
+        self.n = len(points)
+        self.checked = 0
+        self.prune_by([])
+
+    def prune_by(self, elements):
+        """Walk up to these point permutations from now on."""
+        n = self.n
+        self.group_elements = len(elements) + 1
+        self.images = tuple(zip(*elements)) or ((),) * n  # images[x][e] = element e of x
+        preimages = [[0] * n for _ in elements]
+        for pre, element in zip(preimages, elements):
+            for x, y in enumerate(element):
+                pre[y] = x
+        self.preimages = tuple(zip(*preimages)) or ((),) * n
+        # per element, the points it moves down: their children fail below a fixed prefix
+        self.lower = [sum(1 << x for x, y in enumerate(e) if y < x) for e in elements]
+
+    def _limits(self, prefix, mask, marks):
+        """(Children refused by mask, per-element bound) below a least prefix.
+
+        A child x > prefix[-1] is refused when its bit is in the mask or some
+        element e maps it below limits[e].
+        """
+        refused = 0
+        limits = []
+        last = prefix[-1] if prefix else -1
+        for e, mark in enumerate(marks):
+            diff = mark ^ mask
+            if not diff:
+                refused |= self.lower[e]
+                limits.append(-1)
+                continue
+            low = diff & -diff  # in mask: the prefix is least in its orbit
+            m = low.bit_length() - 1
+            limits.append(m)
+            x = self.preimages[m][e]
+            if x > last:
+                diff = (mask | 1 << x) ^ (mark | low)
+                if diff & -diff & mark:
+                    refused |= 1 << x
+        return refused, limits
+
+    def first(self, field, length, prefix=(), mask=0, marks=None):
+        """The lexicographically first satisfying length-set below prefix, or None.
+
+        mask holds the prefix's points as bits and marks[e] those of its
+        image under element e.
+        """
+        if marks is None:
+            marks = [0] * len(self.lower)
+        images, clients = self.images, self.clients
+        refused, limits = self._limits(prefix, mask, marks)
+        leaf = len(prefix) + 1 == length
+        for x in range(prefix[-1] + 1 if prefix else 0, self.n - length + len(prefix) + 1):
+            if refused >> x & 1 or limits and any(map(operator.lt, images[x], limits)):
+                continue
+            if leaf:
+                self.checked += 1
+                for at, client in enumerate(clients):
+                    if not client.satisfied(field, prefix, x):
+                        if at:  # fail first: the rejecting client leads next time
+                            clients.insert(0, clients.pop(at))
+                        break
+                else:
+                    return prefix + (x,)
+            else:
+                found = self.first(
+                    field,
+                    length,
+                    prefix + (x,),
+                    mask | 1 << x,
+                    [m | 1 << y for m, y in zip(marks, images[x])],
+                )
+                if found:
+                    return found
+        return None
+
+
+def _lex_rank(combo, n: int) -> int:
+    """Position of a sorted l-subset of range(n) in itertools.combinations order."""
+    l = len(combo)
+    return math.comb(n, l) - 1 - sum(math.comb(n - 1 - c, l - i) for i, c in enumerate(combo))
+
+
 def min_code_length_bruteforce(
     instance: PicodInstance,
     l_max: int,
@@ -496,21 +682,35 @@ def min_code_length_bruteforce(
 ) -> SearchResult:
     """Smallest l for which some f x l matrix satisfies every client.
 
-    Scans canonical column subsets for l = 1..l_max in the lexicographic
-    order of itertools.combinations.  Each client keeps the bases of the
-    current prefix, so a candidate costs one insertion per client checked,
-    and the checks stop at the first unsatisfied client, which moves to the
-    front of the client list.  `budget` bounds the number of candidate
-    matrices examined; exceeding it raises SearchBudgetError carrying the
-    lengths already exhausted.  The points are listed only once length 1
-    fits the budget, so an instance far past it fails at once instead of
-    listing (q^f - 1)/(q - 1) vectors.
+    The answer is the plain scan's: the first l-subset of projective points,
+    l = 1..l_max, in the lexicographic order of itertools.combinations, that
+    satisfies every client.  The walk (`_OrderlyWalk`) visits only sorted
+    prefixes that no listed element of the monomial group G maps to a
+    smaller sorted tuple, and it still finds that set, for any listed subset
+    of G, by three facts:
+
+    - satisfying every client is G-invariant;
+    - dropping the largest element of a set that is least in its orbit
+      leaves a set that is least in its orbit;
+    - so the first satisfying set is least in its orbit, and so is each of
+      its prefixes, and the walk reaches it.
+
+    `examined` is the plain scan's count: sum C(n, l) over the exhausted
+    lengths, plus the witness's lexicographic rank plus one.  `budget`
+    bounds it per length: a length whose candidates would pass the budget
+    raises SearchBudgetError carrying the lengths already exhausted.
+    `checked` counts the candidates whose clients were checked and
+    `group_elements` the listed elements of G, the identity included.  The
+    points are listed only once length 1 fits the budget, so an instance
+    far past it fails at once instead of listing (q^f - 1)/(q - 1) vectors.
+    Length 1 is scanned in full: listing the group costs about as much, so
+    it is listed, up to GROUP_ENTRY_CAP entries, only once length 2 fits.
     """
     family = instance.side_family(cap)
     q, f = instance.q, instance.num_messages
     num_points = (q**f - 1) // (q - 1)
     field = make_field(q)
-    points = clients = None
+    points = walk = None
     examined = 0
     exhausted = []
     for l in range(1, l_max + 1):
@@ -522,22 +722,22 @@ def min_code_length_bruteforce(
                 exhausted_lengths=exhausted,
                 examined=examined,
             )
-        if points is None:
+        if walk is None:
             points = _projective_points(q, f)
-            clients = [_PrefixSpans(instance, side, points) for side in family]
-        for combo in itertools.combinations(range(num_points), l):
-            examined += 1
-            prefix, last = combo[:-1], combo[-1]
-            for at, client in enumerate(clients):
-                if not client.satisfied(field, prefix, last):
-                    if at:  # fail first: the rejecting client leads next time
-                        clients.insert(0, clients.pop(at))
-                    break
-            else:
-                witness = EncodingMatrix(tuple(points[i] for i in combo), q)
-                return SearchResult(True, l, witness, examined, tuple(exhausted))
+            walk = _OrderlyWalk(instance, family, points)
+        elif l == 2:  # listing the group costs about a length-1 scan
+            walk.prune_by(_group_elements(instance, points))
+        combo = walk.first(field, l)
+        if combo is not None:
+            witness = EncodingMatrix(tuple(points[i] for i in combo), q)
+            examined += _lex_rank(combo, num_points) + 1
+            return SearchResult(
+                True, l, witness, examined, tuple(exhausted), walk.checked, walk.group_elements
+            )
+        examined += level_size
         exhausted.append(l)
-    return SearchResult(False, None, None, examined, tuple(exhausted))
+    checked, group = (walk.checked, walk.group_elements) if walk else (0, 0)
+    return SearchResult(False, None, None, examined, tuple(exhausted), checked, group)
 
 
 # --- rank lower-bound certificate -----------------------------------------------

@@ -144,11 +144,13 @@ def test_criterion_3_capacity_endpoints(grid_run):
 
 def test_criterion_4_converse_oracle_tightness():
     # every shape with f <= 5 over GF(2) and f <= 4 over GF(3): the exhaustive
-    # minimum equals the closed form, and the witness carries a certificate
+    # minimum equals the closed form, and the witness carries a certificate.
+    # The paper's headline: the minimum exceeds Gamma, the cost of PPIR with no
+    # side information, exactly when some class has 1 <= k_i <= mu_i - 2
     from conftest import compositions
 
     ok = True
-    checked = 0
+    checked = costlier = 0
     first_bad = None
     started = time.perf_counter()
     for q, f_max in ((2, 5), (3, 4)):
@@ -163,13 +165,19 @@ def test_criterion_4_converse_oracle_tightness():
                         if hit:
                             cert = rank_lower_bound_certificate(result.witness, instance)
                             hit = cert.ok and cert.rank_floor == want == result.witness.rank()
+                        side_costs = any(1 <= k <= mu - 2 for mu, k in zip(sizes, counts))
+                        hit = hit and (result.min_length > gamma) == side_costs
+                        costlier += side_costs
                         ok = ok and hit
                         checked += 1
                         if not hit and first_bad is None:
                             first_bad = f"{sizes}/{counts} GF({q})={result.min_length}"
     elapsed = time.perf_counter() - started
     ok = ok and checked == 96 and elapsed < 60
-    detail = f"{checked} shapes, minimum = bound and certified ({elapsed:.1f}s)"
+    detail = (
+        f"{checked} shapes, minimum = bound and certified; minimum > Gamma on {costlier}, "
+        f"= Gamma on {checked - costlier}, as 1 <= k_i <= mu_i - 2 predicts ({elapsed:.1f}s)"
+    )
     _report(4, ok, detail if first_bad is None else f"{detail}; first miss {first_bad}")
 
 

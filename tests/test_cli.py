@@ -49,6 +49,36 @@ def test_oracle_command(capsys):
     assert doc["certificate"]["ok"]
 
 
+def test_oracle_reports_search_work_on_stderr(capsys):
+    code, out, err = run_cli(
+        capsys, "oracle", "--class-sizes", "1,1,1", "--side-counts", "0,0,0", "--q", "2"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    # lengths 1 and 2 exhausted (7 + 21 candidates), the witness first at length 3;
+    # checked: every point, then one set per orbit, 6 pairs and the witness
+    assert doc["bruteforce"]["examined"] == 7 + 21 + 1
+    assert "checked" not in doc["bruteforce"]
+    assert err == "search: checked 14 of 29 candidates, 6 group elements\n"
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--t", "0", "--t must be at least 1, got 0"),
+        ("--l-max", "0", "--l-max must be at least 1, got 0"),
+        ("--l-max", "-2", "--l-max must be at least 1, got -2"),
+        ("--budget", "-1", "--budget must be at least 0, got -1"),
+    ],
+)
+def test_oracle_flags_that_describe_no_search_are_config_errors(capsys, flag, value, message):
+    code, out, err = run_cli(
+        capsys, "oracle", "--class-sizes", "2,2", "--side-counts", "1,1", "--q", "3", flag, value
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_audit_command_pass_and_mutant(capsys):
     code, out, _ = run_cli(
         capsys,

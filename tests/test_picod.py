@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,9 +15,13 @@ from ppir.picod import (
     PicodInstance,
     SearchResult,
     _Walker,
+    GROUP_ENTRY_CAP,
     _decodable_set,
+    _group_elements,
+    _group_generators,
     _group_tables,
     _insert,
+    _lex_rank,
     _projective_points,
     _unit_pivots,
     all_clients_satisfied,
@@ -480,6 +485,123 @@ def test_bruteforce_matches_reference_search():
                                 assert got == want, (sizes, counts, q, t, l_max)
                                 compared += 1
     assert compared == 330 and over_budget > 0
+
+
+def _reference_cases():
+    """Every (instance, l_max) of test_bruteforce_matches_reference_search."""
+    from conftest import compositions
+
+    for q in (2, 3, 4):
+        for f in range(2, 5):
+            for gamma in range(2, f + 1):
+                for sizes in compositions(f, gamma):
+                    for counts in itertools.product(*[range(mu) for mu in sizes]):
+                        for t in range(1, gamma + 1):
+                            if sum(counts) <= f - t:
+                                instance = inst(sizes, counts, q=q, t=t)
+                                bound = broadcast_lower_bound(instance)
+                                yield instance, bound - 1
+                                yield instance, bound
+
+
+def _search_or_budget(instance, l_max, budget):
+    try:
+        return min_code_length_bruteforce(instance, l_max, budget=budget)
+    except SearchBudgetError as err:
+        return "budget", str(err), err.examined, err.exhausted_lengths
+
+
+@pytest.mark.parametrize(
+    "sizes, counts, q, order",
+    [
+        ((2, 3), (1, 1), 2, 2 * 6),  # within-class permutations only
+        ((1, 1, 1), (0, 0, 0), 3, 6 * 4),  # class swaps; 2^3 scalings, 2 act alike
+        ((2, 2), (1, 0), 4, 2 * 2 * 27),  # unequal k: no class swap; 3^4 / 3 scalings
+        ((1, 2, 1), (0, 1, 0), 3, 2 * 2 * 8),
+    ],
+)
+def test_group_elements_permute_points_and_keep_the_side_family(sizes, counts, q, order):
+    # the whole group is listed; each element permutes the points, sends unit
+    # points to unit points (a coordinate map), carries the side family onto
+    # itself and keeps "every client satisfied" on column sets
+    instance = inst(sizes, counts, q=q, t=1)
+    points = _projective_points(q, instance.num_messages)
+    index = {p: i for i, p in enumerate(points)}
+    f, n = instance.num_messages, len(points)
+    units = [index[tuple(int(i == m) for i in range(f))] for m in range(f)]
+    family = set(instance.side_family())
+    elements = _group_elements(instance, points)
+    assert len(set(elements)) == len(elements) == order - 1 and tuple(range(n)) not in elements
+    rng = random.Random(7)
+    for element in elements:
+        assert sorted(element) == list(range(n))
+        coords = [points[element[u]].index(1) for u in units]
+        assert all(element[units[m]] == units[coords[m]] for m in range(f))
+        assert {tuple(sorted(coords[m] for m in side)) for side in family} == family
+        for _ in range(3):
+            combo = rng.sample(range(n), rng.randint(1, 4))
+            before = EncodingMatrix(tuple(points[i] for i in combo), q)
+            after = EncodingMatrix(tuple(points[element[i]] for i in combo), q)
+            assert all_clients_satisfied(before, instance) == all_clients_satisfied(after, instance)
+
+
+def test_bruteforce_same_result_with_fewer_or_no_group_elements(monkeypatch):
+    # pruning is sound for any subset of the group: no elements (the plain
+    # scan) and the generators alone give the same results as the closure
+    import ppir.picod as picod
+
+    cases = list(_reference_cases())
+    want = [_search_or_budget(instance, l_max, 20_000) for instance, l_max in cases]
+    for builder in (lambda instance, points: [], _group_generators):
+        monkeypatch.setattr(picod, "_group_elements", builder)
+        got = [_search_or_budget(instance, l_max, 20_000) for instance, l_max in cases]
+        assert got == want
+    assert len(cases) == 330
+
+
+def test_bruteforce_checks_fewer_candidates_than_it_counts():
+    # (1,1,1,1,1)/(0,0,0,0,0) over GF(2): the five classes permute freely,
+    # 120 elements, so far fewer candidates are checked than the scan counts
+    result = min_code_length_bruteforce(inst((1, 1, 1, 1, 1), (0, 0, 0, 0, 0), q=2), 5)
+    assert result.min_length == 5 and result.group_elements == 120
+    assert result.checked * 10 < result.examined
+    # the work counts stay out of equality
+    assert result == SearchResult(True, 5, result.witness, result.examined, (1, 2, 3, 4))
+
+
+def test_bruteforce_checks_one_candidate_per_orbit():
+    # length 1 is scanned in full; from length 2 on, with the whole group
+    # listed, exactly the least set of each orbit is checked:
+    # (1,1,1,1)/(0,0,0,0) over GF(2) exhausts lengths 1-3 of 15 points
+    instance = inst((1, 1, 1, 1), (0, 0, 0, 0), q=2)
+    points = _projective_points(2, 4)
+    group = [tuple(range(len(points)))] + _group_elements(instance, points)
+    assert len(group) == 24
+    orbits = {
+        min(tuple(sorted(g[x] for x in combo)) for g in group)
+        for l in (2, 3)
+        for combo in itertools.combinations(range(len(points)), l)
+    }
+    result = min_code_length_bruteforce(instance, 3)
+    assert not result.found and result.examined == 15 + 105 + 455
+    assert result.checked == 15 + len(orbits) and result.group_elements == 24
+
+
+def test_group_listing_stays_under_the_entry_cap():
+    # (5,5)/(2,2) over GF(2): 5! * 5! * 2 = 28,800 elements on 1,023 points,
+    # about 29M entries; the listing stops at the cap with the generators in
+    instance = inst((5, 5), (2, 2), q=2)
+    points = _projective_points(2, 10)
+    elements = _group_elements(instance, points)
+    assert 0 < len(elements) * len(points) <= GROUP_ENTRY_CAP
+    assert set(_group_generators(instance, points)) <= set(elements)
+
+
+def test_lex_rank_matches_combinations_order():
+    for n in range(1, 8):
+        for l in range(1, n + 1):
+            for rank, combo in enumerate(itertools.combinations(range(n), l)):
+                assert _lex_rank(combo, n) == rank
 
 
 def test_bruteforce_budget_error_with_partial_progress():
