@@ -584,8 +584,9 @@ class _OrderlyWalk:
     least in its orbit, so for a listed element g either g fixes P as a set,
     and the child P + (x,) fails exactly when g(x) < x, or m, the smallest
     element of P not in g(P), lies in P, and the child stays least when
-    g(x) > m, fails when g(x) < m and needs one mask test when g(x) == m.  A prefix therefore costs one pass over the elements and a
-    child one comparison per element, in C.
+    g(x) > m, fails when g(x) < m and needs one mask test when g(x) == m.
+    A prefix therefore costs one pass over the elements and a child one
+    comparison per element, in C.
     """
 
     def __init__(self, instance: PicodInstance, family, points):
