@@ -28,7 +28,8 @@ choice), and returns the same Answer object on every repeat; both audits
 serialize each answer object once, keyed by its id with a weak reference
 beside the bytes, so a reused id never returns another answer's bytes.
 Distributions are still counted over the canonical bytes, so verdicts are
-unchanged.  The mutants override answer_for and call usi_answer
+unchanged.  audit_statistical likewise serializes each distinct query once,
+keyed by its value.  The mutants override answer_for and call usi_answer
 themselves: they build a fresh answer per call, which the identity-keyed
 bytes never match, so every leak they add is serialized and counted.
 
@@ -67,6 +68,9 @@ from .protocol import (
     usi_query,
 )
 from .wire import answer_to_json, canonical_bytes, query_to_json
+
+BUCKETS = 64  # audit_statistical's digest buckets
+BLOCKS = 16  # audit_statistical's blocks, each one store and one server draw
 
 
 class UsiServer:
@@ -241,9 +245,9 @@ def exact_audit_work(layout: DatabaseLayout, demand: int = 1) -> int:
     params = layout.params
     support = 1
     for mu, k in zip(params.class_sizes, params.side_counts):
-        mode, _ = class_plan(mu, k, demand)
+        mode, rows = class_plan(mu, k, demand)
         if mode == "uncoded":
-            support *= math.comb(mu, k + demand)
+            support *= math.comb(mu, rows)
     return params.side_family_size() * params.num_classes * support
 
 
@@ -334,13 +338,11 @@ def audit_statistical(
     trials: int,
     seed,
     server: UsiServer | None = None,
-    buckets: int = 64,
     demand: int = 1,
-    blocks: int = 16,
 ) -> AuditVerdict:
     """Sampled audit for instances too large to enumerate.
 
-    Trials are grouped into blocks; each block draws one store and one
+    Trials are grouped into BLOCKS blocks; each block draws one store and one
     server randomness realization from the model's priors, then varies
     (v, S) across its trials.  This pairing is what gives the estimator
     power: for an honest server the digest of the wire bytes is constant
@@ -349,7 +351,7 @@ def audit_statistical(
     digest is exactly zero, while a server that leaks even one symbol of v
     or S shifts the digest within blocks and contributes roughly the
     leaked entropy.  Without the pairing, fresh store randomness hashed
-    into the digest would mask any leak.
+    into the digest would mask any leak.  The digest is taken mod BUCKETS.
 
     The estimate is the block-conditional plug-in mutual information in
     q-ary units; the pass threshold is twice its first-order bias bound,
@@ -361,10 +363,10 @@ def audit_statistical(
     server = server or UsiServer()
     params = layout.params
     rng = as_rng(seed)
-    blocks = max(1, min(blocks, trials))
+    blocks = max(1, min(BLOCKS, trials))
     sizes = [trials // blocks + (1 if b < trials % blocks else 0) for b in range(blocks)]
     answer_bytes = _answer_serializer()
-    query_blobs = set()
+    query_blobs = {}  # each distinct query serialized once
     mi_sum = 0.0
     bias_sum = 0.0
     kx_max = ky_max = 0
@@ -379,12 +381,13 @@ def audit_statistical(
             side = sample_side_info(layout, rng)
             query = usi_query(v, side, demand=demand)
             answer = server.answer_for(query, store, choice, v=v, side=side)
-            qb = canonical_bytes(query_to_json(query))
-            query_blobs.add(qb)
+            qb = query_blobs.get(query)
+            if qb is None:
+                qb = query_blobs[query] = canonical_bytes(query_to_json(query))
             digest = hashlib.blake2b(
                 qb + answer_bytes(answer), digest_size=8
             ).digest()
-            y = int.from_bytes(digest, "big") % buckets
+            y = int.from_bytes(digest, "big") % BUCKETS
             x = (v, side.label_set)
             counts[(x, y)] = counts.get((x, y), 0) + 1
         w = n_b / trials
@@ -395,7 +398,7 @@ def audit_statistical(
         ky_max = max(ky_max, ky)
         bias_sum += w * (kx - 1) * (ky - 1) / (n_b * math.log(params.q))
     threshold = max(bias_sum, 1 / (trials * math.log(params.q)))
-    query_invariant = len(query_blobs) == 1
+    query_invariant = len(set(query_blobs.values())) == 1
     passed = query_invariant and mi_sum < threshold
     return AuditVerdict(
         mode="statistical",
@@ -404,7 +407,7 @@ def audit_statistical(
         mi_estimate=mi_sum,
         mi_threshold=threshold,
         trials=trials,
-        buckets=buckets,
+        buckets=BUCKETS,
         server=server.name,
         notes={"alphabet_x": kx_max, "alphabet_y": ky_max, "blocks": blocks},
     )

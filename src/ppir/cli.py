@@ -50,7 +50,7 @@ def _params_from_args(args):
     )
 
 
-def _emit(doc: dict, args) -> None:
+def _emit(doc: dict) -> None:
     print(json.dumps(doc, sort_keys=True, indent=2))
 
 
@@ -80,7 +80,7 @@ def cmd_run(args) -> int:
     elif "csv" in config.formats:
         sys.stdout.write(report_csv(report))
     else:
-        _emit(report, args)
+        _emit(report)
     return 0 if ok else 1
 
 
@@ -88,9 +88,10 @@ def cmd_capacity(args) -> int:
     from .rates import msi_rate_bounds, rate_report
 
     class_sizes, side_counts = args.class_sizes, args.side_counts
-    if len(side_counts) != len(class_sizes):
-        raise ConfigError("side_counts must have one entry per class")
-    if any(mu == k for mu, k in zip(class_sizes, side_counts)):
+    # rate_report refuses mismatched lengths, as every other bad shape
+    if len(side_counts) == len(class_sizes) and any(
+        mu == k for mu, k in zip(class_sizes, side_counts)
+    ):
         identified = sum(1 for mu, k in zip(class_sizes, side_counts) if mu == k)
         lo, hi = _from_flags(
             msi_rate_bounds, sum(class_sizes), sum(side_counts), len(class_sizes), identified
@@ -102,8 +103,7 @@ def cmd_capacity(args) -> int:
                 "rate_lower": {"num": lo.numerator, "den": lo.denominator},
                 "rate_upper": {"num": hi.numerator, "den": hi.denominator},
                 "identified": identified,
-            },
-            args,
+            }
         )
         return 0
     report = _from_flags(
@@ -114,7 +114,7 @@ def cmd_capacity(args) -> int:
         demand=args.demand,
         num_desired=args.num_desired,
     )
-    _emit(report.to_json(), args)
+    _emit(report.to_json())
     return 0
 
 
@@ -164,7 +164,7 @@ def cmd_oracle(args) -> int:
                 "skipped": str(exc),
                 "exhausted_lengths": list(exc.exhausted_lengths),
             }
-    _emit(doc, args)
+    _emit(doc)
     return 0 if ok else 1
 
 
@@ -187,7 +187,7 @@ def cmd_audit(args) -> int:
         try:
             verdict = audit_exact(store, server=server, cap=args.cap)
         except EnumerationCapError as exc:
-            _emit({"error": str(exc)}, args)
+            _emit({"error": str(exc)})
             return 2
     else:
         verdict = audit_statistical(
@@ -196,7 +196,7 @@ def cmd_audit(args) -> int:
     doc = verdict.to_json()
     if args.mode == "exact" and len(doc.get("tv_table", [])) > 50:
         doc["tv_table"] = doc["tv_table"][:50] + ["... truncated"]
-    _emit(doc, args)
+    _emit(doc)
     return 0 if verdict.passed else 1
 
 
@@ -211,8 +211,7 @@ def cmd_replay(args) -> int:
                 {"label": list(lab), "symbols": list(sym)}
                 for lab, sym in result.decoded
             ],
-        },
-        args,
+        }
     )
     return 0
 

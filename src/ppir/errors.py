@@ -13,12 +13,12 @@ class SingularMatrixError(PpirError, ValueError):
     """Square matrix has no inverse over the field."""
 
 
-class UnsupportedParametersError(PpirError, ValueError):
-    """Parameters outside the supported range (e.g. code length above field size)."""
-
-
 class ParameterError(PpirError, ValueError):
     """Invalid instance or configuration parameters."""
+
+
+class UnsupportedParametersError(ParameterError):
+    """Parameters outside the supported range (e.g. code length above field size)."""
 
 
 class InsufficientInformationError(PpirError, ValueError):

@@ -47,7 +47,6 @@ from .protocol import (
     auto_field_size,
     decode_answer,
     download_cost,
-    expected_download_rows,
     fsi_answer,
     fsi_decode,
     fsi_query,
@@ -55,7 +54,7 @@ from .protocol import (
     usi_answer,
     usi_query,
 )
-from .rates import fsi_rate, multi_rate, usi_capacity
+from .rates import expected_download_rows, fsi_rate, multi_rate, usi_capacity
 from .wire import answer_from_json, query_from_json, side_from_json
 
 def _integer(minimum):
@@ -151,21 +150,23 @@ _CHECK_CONFIG = _mapping(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A checked run; config_from_dict builds it and states every default."""
+
     instances: tuple[InstanceParams, ...]
-    scheme: str = "usi"
-    demand: int = 1
-    num_desired: int = 1
-    trials: int = 100
-    master_seed: int = 0
-    oracle_enabled: bool = False
-    oracle_budget: int = 2_000_000
-    oracle_l_max: int = 4
-    audit_mode: str = "off"
-    audit_trials: int = 10_000
-    audit_cap: int = 50_000
-    output: str | None = None
-    formats: tuple[str, ...] = ("json",)
-    include_records: bool = True
+    scheme: str
+    demand: int
+    num_desired: int
+    trials: int
+    master_seed: int
+    oracle_enabled: bool
+    oracle_budget: int
+    oracle_l_max: int
+    audit_mode: str
+    audit_trials: int
+    audit_cap: int
+    output: str | None
+    formats: tuple[str, ...]
+    include_records: bool
 
 
 def _short_class(class_sizes, side_counts, demand: int):
@@ -205,6 +206,8 @@ def grid_instances(grid: dict, msg_lens, demand: int, scheme: str = "usi"):
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
+    if type(doc) is dict and doc.get("audit") is False:
+        doc = {**doc, "audit": "off"}  # YAML 1.1 reads an unquoted `off` as false
     _CHECK_CONFIG(doc, "config")
     demand = doc.get("demand", 1)
     scheme = doc.get("scheme", "usi")
@@ -217,28 +220,19 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     for n, item in enumerate(doc.get("instances", [])):
         class_sizes = tuple(item["class_sizes"])
         side_counts = tuple(item["side_counts"])
-        for mu, k in zip(class_sizes, side_counts):
-            if mu == k:
-                raise ConfigError(
-                    f"instance {item} has a fully held class (size {mu} = side count): "
-                    "the mixed-side-information regime has no constructive scheme; "
-                    "use the capacity calculator's conjecture bounds instead"
-                )
-        q = item.get("q")
         need = longest_code_length(class_sizes, side_counts, demand, scheme)
-        if q is None:
-            q = next_prime(need)
-        elif q < need:
-            raise ConfigError(
-                f"instances[{n}].q: q={q} is below {need}, the longest code "
-                f"the {scheme} scheme needs for this instance"
-            )
+        q = item.get("q") or next_prime(need)
         try:
             params = InstanceParams(
                 class_sizes, side_counts, msg_len=item.get("msg_len", msg_len), q=q
             )
         except ParameterError as exc:
             raise ConfigError(f"instances[{n}]: {exc}") from exc
+        if q < need:
+            raise ConfigError(
+                f"instances[{n}].q: q={q} is below {need}, the longest code "
+                f"the {scheme} scheme needs for this instance"
+            )
         i = _short_class(class_sizes, side_counts, demand)
         if i is not None:
             mu, k = class_sizes[i], side_counts[i]

@@ -9,8 +9,7 @@ range so they reveal nothing about positions, class sizes or f.
 
 Side information is a set of held messages with exactly k_i of them from
 class i.  The user-facing view of side information is the label-pair set
-plus the per-class counts; the underlying index set exists only for
-auditing and never feeds the decoding path.
+plus the per-class counts.
 
 Seeded worlds feed report.json, so every draw here reproduces what the
 `random.Random` methods that used to make it would return, and leaves the
@@ -31,6 +30,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import EnumerationCapError, ParameterError
+from .rates import check_instance
 
 DEFAULT_IDENTIFIER_RANGE = (1, 2**32)
 
@@ -91,20 +91,7 @@ class InstanceParams:
     def __post_init__(self):
         object.__setattr__(self, "class_sizes", tuple(int(m) for m in self.class_sizes))
         object.__setattr__(self, "side_counts", tuple(int(k) for k in self.side_counts))
-        if len(self.class_sizes) < 2:
-            raise ParameterError("at least two classes are required")
-        if len(self.side_counts) != len(self.class_sizes):
-            raise ParameterError("side_counts must have one entry per class")
-        for mu, k in zip(self.class_sizes, self.side_counts):
-            if mu < 1:
-                raise ParameterError("class sizes must be positive")
-            if k < 0:
-                raise ParameterError("side counts must be nonnegative")
-            if mu < k + 1:
-                raise ParameterError(
-                    f"class of size {mu} with {k} side messages leaves nothing new "
-                    "(mixed side information regime is out of protocol scope)"
-                )
+        check_instance(self.class_sizes, self.side_counts)
         if self.msg_len < 1:
             raise ParameterError("msg_len must be positive")
         if self.q < 2:
@@ -123,10 +110,7 @@ class InstanceParams:
         return sum(self.side_counts)
 
     def side_family_size(self) -> int:
-        out = 1
-        for mu, k in zip(self.class_sizes, self.side_counts):
-            out *= math.comb(mu, k)
-        return out
+        return math.prod(map(math.comb, self.class_sizes, self.side_counts))
 
 
 @dataclass(frozen=True)
@@ -160,14 +144,6 @@ class DatabaseLayout:
             raise ParameterError("identifiers must be unique within a class")
         object.__setattr__(self, "_pos_by_label", pos)
 
-    @property
-    def class_of(self) -> tuple[int, ...]:
-        out = [0] * self.params.num_messages
-        for i, members in enumerate(self.class_members):
-            for m in members:
-                out[m] = i
-        return tuple(out)
-
     def position_of(self, label) -> int:
         return self._pos_by_label[label]
 
@@ -198,17 +174,10 @@ class MessageStore:
 
 @dataclass(frozen=True)
 class SideInfo:
-    """User-side view of held messages: label pairs and per-class counts.
-
-    The raw index set is audit-only; decoding code must not touch it.
-    """
+    """User-side view of held messages: label pairs and per-class counts."""
 
     per_class_counts: tuple[int, ...]
     label_set: tuple[tuple[int, int], ...]
-    _indices: tuple[int, ...] = field(repr=False)
-
-    def audit_index_set(self) -> tuple[int, ...]:
-        return self._indices
 
 
 def build_layout(params: InstanceParams, seed, identifier_range=DEFAULT_IDENTIFIER_RANGE):
@@ -254,49 +223,34 @@ def random_store(layout: DatabaseLayout, seed) -> MessageStore:
 def side_from_positions(layout: DatabaseLayout, positions_by_class) -> SideInfo:
     """Side information holding the given within-class positions, one tuple per class."""
     labels = []
-    indices = []
     counts = []
     for i, positions in enumerate(positions_by_class):
         counts.append(len(positions))
-        labs, members = layout.labels[i], layout.class_members[i]
+        labs = layout.labels[i]
         for p in positions:
             labels.append((i, labs[p]))
-            indices.append(members[p])
-    return SideInfo(tuple(counts), tuple(sorted(labels)), tuple(sorted(indices)))
+    return SideInfo(tuple(counts), tuple(sorted(labels)))
 
 
-def _validate_counts(layout, side_counts):
-    params = layout.params
-    counts = params.side_counts if side_counts is None else tuple(side_counts)
-    if len(counts) != params.num_classes:
-        raise ParameterError("side_counts must have one entry per class")
-    for mu, k in zip(params.class_sizes, counts):
-        if not 0 <= k <= mu:
-            raise ParameterError(f"side count {k} invalid for class of size {mu}")
-    return counts
-
-
-def sample_side_info(layout: DatabaseLayout, seed, side_counts=None) -> SideInfo:
-    """Uniform draw over all side-information sets with the given profile."""
+def sample_side_info(layout: DatabaseLayout, seed) -> SideInfo:
+    """Uniform draw over all side-information sets with the instance's profile."""
     rng = as_rng(seed)
-    counts = _validate_counts(layout, side_counts)
+    params = layout.params
     positions = [
-        sample_positions(rng, mu, k) for mu, k in zip(layout.params.class_sizes, counts)
+        sample_positions(rng, mu, k) for mu, k in zip(params.class_sizes, params.side_counts)
     ]
     return side_from_positions(layout, positions)
 
 
-def enumerate_side_info_sets(layout: DatabaseLayout, side_counts=None, cap=100_000):
-    """All side-information sets with the given profile, in canonical order."""
-    counts = _validate_counts(layout, side_counts)
-    total = 1
-    for mu, k in zip(layout.params.class_sizes, counts):
-        total *= math.comb(mu, k)
+def enumerate_side_info_sets(layout: DatabaseLayout, cap=100_000):
+    """All side-information sets with the instance's profile, in canonical order."""
+    params = layout.params
+    total = params.side_family_size()
     if total > cap:
         raise EnumerationCapError(f"{total} side-information sets exceed cap {cap}")
     per_class = [
         list(itertools.combinations(range(mu), k))
-        for mu, k in zip(layout.params.class_sizes, counts)
+        for mu, k in zip(params.class_sizes, params.side_counts)
     ]
     return [
         side_from_positions(layout, combo)
@@ -321,4 +275,4 @@ def positional_side_info(layout: DatabaseLayout, side: SideInfo) -> SideInfo:
     message's position inside its ordered class.
     """
     labels = tuple(sorted((i, layout.position_of((i, a))) for i, a in side.label_set))
-    return SideInfo(side.per_class_counts, labels, side.audit_index_set())
+    return SideInfo(side.per_class_counts, labels)

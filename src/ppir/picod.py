@@ -80,6 +80,9 @@ from .errors import (
 from .fields import make_field
 from .protocol import Answer, ClassPayload
 from .mds import make_mds
+from .rates import class_floor
+
+FAMILY_CAP = 100_000  # side-information sets a client family may list
 
 
 @dataclass(frozen=True)
@@ -183,20 +186,17 @@ class PicodInstance:
         return sum(self.side_counts)
 
     def side_family_size(self) -> int:
-        out = 1
-        for members, k in zip(self.class_members, self.side_counts):
-            out *= math.comb(len(members), k)
-        return out
+        return math.prod(map(math.comb, self.class_sizes, self.side_counts))
 
-    def check_family_cap(self, cap: int) -> None:
-        """Refuse a side family larger than cap before enumerating any of it."""
+    def check_family_cap(self) -> None:
+        """Refuse a side family larger than FAMILY_CAP before enumerating any of it."""
         total = self.side_family_size()
-        if total > cap:
-            raise EnumerationCapError(f"{total} side sets exceed cap {cap}")
+        if total > FAMILY_CAP:
+            raise EnumerationCapError(f"{total} side sets exceed cap {FAMILY_CAP}")
 
-    def side_family(self, cap: int = 100_000):
+    def side_family(self):
         """All count-feasible side-information index sets, canonical order."""
-        self.check_family_cap(cap)
+        self.check_family_cap()
         per_class = [
             list(itertools.combinations(members, k))
             for members, k in zip(self.class_members, self.side_counts)
@@ -308,7 +308,7 @@ def client_satisfied(matrix: EncodingMatrix, side_set, instance: PicodInstance) 
     return _hits(_first_picks(found, instance.class_members)) >= instance.demand_classes
 
 
-def _group_tables(matrix: EncodingMatrix, instance: PicodInstance, cap: int):
+def _group_tables(matrix: EncodingMatrix, instance: PicodInstance):
     """Each class group's first decodable picks, per partial side set.
 
     Classes whose coordinates share a span block form a group; what a
@@ -316,10 +316,10 @@ def _group_tables(matrix: EncodingMatrix, instance: PicodInstance, cap: int):
     holds there, and the side family is the product of the groups'
     families.  Returns (classes, table) per group, where table maps each
     partial side set (sorted indices within the group's classes) to the
-    first decodable index of each of those classes.  The cap applies to the
-    full product; the tables are memoized with the span blocks.
+    first decodable index of each of those classes.  FAMILY_CAP applies to
+    the full product; the tables are memoized with the span blocks.
     """
-    instance.check_family_cap(cap)
+    instance.check_family_cap()
     blocks, memo = matrix._span_blocks
     key = ("groups", instance.class_members, instance.side_counts)
     groups = memo.get(key)
@@ -349,9 +349,7 @@ def _group_tables(matrix: EncodingMatrix, instance: PicodInstance, cap: int):
     return groups
 
 
-def all_clients_satisfied(
-    matrix: EncodingMatrix, instance: PicodInstance, cap: int = 100_000
-) -> bool:
+def all_clients_satisfied(matrix: EncodingMatrix, instance: PicodInstance) -> bool:
     """Every count-feasible client decodes new messages from demand_classes classes.
 
     A client's hits are the sum of its hits in each class group, and each
@@ -359,7 +357,7 @@ def all_clients_satisfied(
     so the fewest hits over the family is the sum of each group's fewest.
     """
     fewest = sum(
-        min(map(_hits, table.values())) for _, table in _group_tables(matrix, instance, cap)
+        min(map(_hits, table.values())) for _, table in _group_tables(matrix, instance)
     )
     return fewest >= instance.demand_classes
 
@@ -398,11 +396,6 @@ def answer_to_encoding_matrix(answer: Answer, layout) -> EncodingMatrix:
 
 
 # --- closed-form bounds --------------------------------------------------------
-
-
-def class_floor(mu: int, k: int) -> int:
-    """Per-class minimum download rows, min(k + 1, mu - k)."""
-    return min(k + 1, mu - k)
 
 
 def _ordered_classes(instance: PicodInstance):
@@ -679,7 +672,6 @@ def min_code_length_bruteforce(
     instance: PicodInstance,
     l_max: int,
     budget: int = 5_000_000,
-    cap: int = 100_000,
 ) -> SearchResult:
     """Smallest l for which some f x l matrix satisfies every client.
 
@@ -707,7 +699,7 @@ def min_code_length_bruteforce(
     Length 1 is scanned in full: listing the group costs about as much, so
     it is listed, up to GROUP_ENTRY_CAP entries, only once length 2 fits.
     """
-    family = instance.side_family(cap)
+    family = instance.side_family()
     q, f = instance.q, instance.num_messages
     num_points = (q**f - 1) // (q - 1)
     field = make_field(q)
@@ -806,11 +798,11 @@ class CertificateReport:
 class _Walker:
     """Set-type walk collecting provably decodable fresh indices."""
 
-    def __init__(self, matrix, instance, cap):
-        if not all_clients_satisfied(matrix, instance, cap):
+    def __init__(self, matrix, instance):
+        if not all_clients_satisfied(matrix, instance):
             raise ParameterError("matrix does not satisfy every client; certificate undefined")
         self.inst = instance
-        self.groups = _group_tables(matrix, instance, cap)
+        self.groups = _group_tables(matrix, instance)
         self.slot = {}  # class -> (group, position among the group's classes)
         self.group_of = {}  # message index -> group
         for g, (classes, _) in enumerate(self.groups):
@@ -938,7 +930,7 @@ def _verify_collected(matrix: EncodingMatrix, collected):
 
 
 def rank_lower_bound_certificate(
-    matrix: EncodingMatrix, instance: PicodInstance, cap: int = 100_000
+    matrix: EncodingMatrix, instance: PicodInstance
 ) -> CertificateReport:
     """Constructive witness that rank(matrix) meets the broadcast lower bound.
 
@@ -950,7 +942,7 @@ def rank_lower_bound_certificate(
     (with the partial report attached) if all fail; that would falsify the
     lower bound and is treated as an implementation bug signal.
     """
-    walker = _Walker(matrix, instance, cap)
+    walker = _Walker(matrix, instance)
     floors, order = _ordered_classes(instance)
     subsets = sorted(
         itertools.combinations(range(instance.num_classes), instance.demand_classes),
@@ -970,16 +962,10 @@ def _certify(matrix, walker, floors, chosen) -> CertificateReport:
     inst = walker.inst
     rank_floor = sum(floors[j] for j in chosen)
     decoded_floor = sum(inst.side_counts[j] + 1 for j in chosen)
-    tilde = [
-        j
-        for j in chosen
-        if inst.class_sizes[j] - inst.side_counts[j] < inst.side_counts[j] + 1
-    ]
+    # classes whose floor is mu - k < k + 1 must overlap what is collected
+    tilde = [j for j in chosen if floors[j] < inst.side_counts[j] + 1]
     case = 2 if tilde else 1
-    forced = {
-        j: inst.side_counts[j] + 1 - (inst.class_sizes[j] - inst.side_counts[j])
-        for j in tilde
-    }
+    forced = {j: inst.side_counts[j] + 1 - floors[j] for j in tilde}
     leftovers = {j: inst.class_sizes[j] - (inst.side_counts[j] + 1) for j in tilde}
     pools = walker.decoded_pools(chosen)
 

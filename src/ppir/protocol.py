@@ -5,7 +5,8 @@ per-class side counts {k_i}.  The server answers class by class: when
 k_i + 1 < mu_i - k_i it sends k_i + 1 uniformly random messages of the class
 uncoded (with their label pairs); otherwise it encodes the whole class with
 a systematic [2*mu_i - k_i, mu_i] MDS code and sends the mu_i - k_i parity
-rows.  Either way the user ends up with at least one new message per class,
+rows (`rates.class_plan`, which this module shares with the calculators).
+Either way the user ends up with at least one new message per class,
 and the query and answer never depend on the desired class or on which
 particular messages the user holds, only on the public counts.
 
@@ -41,6 +42,7 @@ from .errors import (
 from .fields import next_prime
 from .mds import make_mds
 from .model import MessageStore, SideInfo, as_rng, sample_positions
+from .rates import class_floor, class_plan, expected_download_rows  # noqa: F401 (re-exported)
 
 
 @dataclass(frozen=True)
@@ -93,23 +95,6 @@ class RetrievalResult:
         return sum(self.new_from_class)
 
 
-def class_plan(mu: int, k: int, demand: int = 1):
-    """Per-class branch: ("uncoded", rows) or ("parity", rows)."""
-    if mu < k + demand:
-        raise UnsupportedParametersError(
-            f"class of size {mu} cannot yield {demand} new messages past {k} held"
-        )
-    if k + demand < mu - k:
-        return "uncoded", k + demand
-    return "parity", mu - k
-
-
-def expected_download_rows(class_sizes, side_counts, demand: int = 1) -> int:
-    return sum(
-        min(k + demand, mu - k) for mu, k in zip(class_sizes, side_counts)
-    )
-
-
 def longest_code_length(class_sizes, side_counts, demand: int = 1, scheme: str = "usi") -> int:
     """Longest parity-branch code length, at least 2; an MDS code needs q >= it.
 
@@ -118,7 +103,9 @@ def longest_code_length(class_sizes, side_counts, demand: int = 1, scheme: str =
     """
     need = 2
     for mu, k in zip(class_sizes, side_counts):
-        if k + demand >= mu - k:
+        # the parity branch; unlike class_plan this never raises, since
+        # config_from_dict asks before it reports a class short of demand
+        if class_floor(mu, k, demand) == mu - k:
             need = max(need, 2 * mu - k)
     if scheme == "fsi":
         eta = max(sum(1 for k in side_counts if k > 0), 1)

@@ -4,6 +4,12 @@ The proved quantity is the linear capacity with unidentified side
 information, 1 / sum_i min(k_i + 1, mu_i - k_i).  Everything else reported
 here is flagged: the fully-identifiable rate 1/(Gamma - eta + 1) is
 achievable-only, and the mixed-side-information bounds are a conjecture.
+
+The per-class rule lives here and nowhere else: `class_floor` is the rows
+class i costs, `class_plan` the branch the scheme sends them by, and
+`check_instance` the shape every instance must have.  The protocol, the
+oracle and the world model use these copies; this module imports nothing
+from the package but its errors, so `ppir capacity` loads it alone.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParameterError
+from .errors import ParameterError, UnsupportedParametersError
 
 REGIME_NO_SIDE = "no-side-info"
 REGIME_MAX_SIDE = "max-side-info"
@@ -19,7 +25,8 @@ REGIME_PIR_SI = "pir-si-equivalent"
 REGIME_INTERIOR = "interior"
 
 
-def _check_instance(class_sizes, side_counts):
+def check_instance(class_sizes, side_counts):
+    """The instance shape as tuples; ParameterError unless every class keeps a new message."""
     class_sizes = tuple(class_sizes)
     side_counts = tuple(side_counts)
     if len(class_sizes) < 2:
@@ -37,11 +44,32 @@ def _check_instance(class_sizes, side_counts):
     return class_sizes, side_counts
 
 
+def class_floor(mu: int, k: int, demand: int = 1) -> int:
+    """Rows a class of size mu with k held costs at this demand, min(k + demand, mu - k).
+
+    Defined for every 0 <= k <= mu; a fully held class costs nothing.
+    """
+    return min(k + demand, mu - k)
+
+
+def class_plan(mu: int, k: int, demand: int = 1):
+    """Per-class branch: ("uncoded", rows) or ("parity", rows), parity on a tie."""
+    if mu < k + demand:
+        raise UnsupportedParametersError(
+            f"class of size {mu} cannot yield {demand} new messages past {k} held"
+        )
+    rows = class_floor(mu, k, demand)
+    return ("uncoded" if rows < mu - k else "parity"), rows
+
+
+def expected_download_rows(class_sizes, side_counts, demand: int = 1) -> int:
+    return sum(class_floor(mu, k, demand) for mu, k in zip(class_sizes, side_counts))
+
+
 def usi_capacity(class_sizes, side_counts) -> Fraction:
     """Exact capacity with unidentified side information."""
-    class_sizes, side_counts = _check_instance(class_sizes, side_counts)
-    denom = sum(min(k + 1, mu - k) for mu, k in zip(class_sizes, side_counts))
-    return Fraction(1, denom)
+    class_sizes, side_counts = check_instance(class_sizes, side_counts)
+    return Fraction(1, expected_download_rows(class_sizes, side_counts))
 
 
 def ppir_rate(num_classes: int) -> Fraction:
@@ -72,12 +100,9 @@ def multi_rate(class_sizes, side_counts, demand: int, num_desired: int) -> Fract
     if num_desired > len(class_sizes):
         raise ParameterError("cannot desire more classes than exist")
     for mu, k in zip(class_sizes, side_counts):
-        if mu < k + demand:
-            raise ParameterError(
-                f"class of size {mu} cannot yield {demand} new messages past {k} held"
-            )
-    denom = sum(min(k + demand, mu - k) for mu, k in zip(class_sizes, side_counts))
-    return Fraction(demand * num_desired, denom)
+        class_plan(mu, k, demand)  # refuses a class short of demand new messages
+    rows = expected_download_rows(class_sizes, side_counts, demand)
+    return Fraction(demand * num_desired, rows)
 
 
 def msi_rate_bounds(num_messages: int, total_side: int, num_classes: int, identified: int):
@@ -93,13 +118,13 @@ def msi_rate_bounds(num_messages: int, total_side: int, num_classes: int, identi
 
 
 def regime_classify(class_sizes, side_counts) -> frozenset:
-    class_sizes, side_counts = _check_instance(class_sizes, side_counts)
+    class_sizes, side_counts = check_instance(class_sizes, side_counts)
     tags = set()
     if all(k == 0 for k in side_counts):
         tags.add(REGIME_NO_SIDE)
     if all(k == mu - 1 for mu, k in zip(class_sizes, side_counts)):
         tags.add(REGIME_MAX_SIDE)
-    if all(k + 1 >= mu - k for mu, k in zip(class_sizes, side_counts)):
+    if all(class_plan(mu, k)[0] == "parity" for mu, k in zip(class_sizes, side_counts)):
         tags.add(REGIME_PIR_SI)
     if not tags:
         tags.add(REGIME_INTERIOR)
@@ -168,7 +193,7 @@ def rate_report(
     demand: int = 1,
     num_desired: int = 1,
 ) -> RateReport:
-    class_sizes, side_counts = _check_instance(class_sizes, side_counts)
+    class_sizes, side_counts = check_instance(class_sizes, side_counts)
     num_classes = len(class_sizes)
     f = sum(class_sizes)
     kappa = sum(side_counts)

@@ -193,5 +193,5 @@ def side_from_json(doc: dict):
         raise WireFormatError(
             f"per_class_counts {list(counts)} contradict the labels' class counts"
         )
-    side = SideInfo(per_class_counts=counts, label_set=labels, _indices=())
+    side = SideInfo(per_class_counts=counts, label_set=labels)
     return side, dict(zip(labels, messages))

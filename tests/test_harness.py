@@ -373,6 +373,18 @@ def test_load_config_yaml(tmp_path):
     assert instance_id(config.instances[0]) == "c3x3-s1x1-L1-q5"
 
 
+def test_load_config_takes_unquoted_audit_off(tmp_path):
+    # YAML 1.1 reads an unquoted `off` as false; it used to be refused
+    base = "instances:\n  - class_sizes: [3, 3]\n    side_counts: [1, 1]\n"
+    path = tmp_path / "config.yaml"
+    for value in ("off", "'off'"):
+        path.write_text(base + f"audit: {value}\n")
+        assert load_config(path).audit_mode == "off"
+    path.write_text(base + "audit: on\n")
+    with pytest.raises(ConfigError, match="audit must be one of"):
+        load_config(path)
+
+
 def _write_trial_files(tmp_path, seed=5):
     params, layout, store, side, values = make_world((3, 3), (1, 1), seed=seed)
     query = usi_query(0, side)

@@ -12,7 +12,10 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-WATCHED = ("jsonschema", "yaml", "ppir.harness", "ppir.picod", "ppir.audit", "ppir.mds")
+WATCHED = (
+    "jsonschema", "yaml", "ppir.harness", "ppir.picod", "ppir.audit", "ppir.mds",
+    "ppir.model", "ppir.protocol",
+)
 
 
 def loaded_after(code):
@@ -35,7 +38,17 @@ def test_capacity_command_loads_only_rates():
 
 def test_harness_does_not_load_jsonschema_or_the_oracle():
     # picod and audit load inside the oracle and audit sections only
-    assert loaded_after("import ppir.harness") == ["yaml", "ppir.harness", "ppir.mds"]
+    assert loaded_after("import ppir.harness") == [
+        "yaml", "ppir.harness", "ppir.mds", "ppir.model", "ppir.protocol"
+    ]
+
+
+def test_per_class_rule_has_one_home_in_rates():
+    from ppir import picod, protocol, rates
+
+    assert protocol.class_plan is rates.class_plan
+    assert protocol.expected_download_rows is rates.expected_download_rows
+    assert picod.class_floor is rates.class_floor
 
 
 def test_lazy_package_exports():

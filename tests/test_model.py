@@ -53,7 +53,7 @@ def test_layout_partition_and_label_uniqueness():
     assert flat == list(range(5))
     for labs in layout.labels:
         assert len(set(labs)) == len(labs)
-    assert sorted(layout.class_of) == [0, 0, 0, 1, 1]
+    assert [len(members) for members in layout.class_members] == [3, 2]
 
 
 def test_layout_deterministic_per_seed():
@@ -125,10 +125,11 @@ def test_side_info_counts_and_views():
     side = sample_side_info(layout, 4)
     assert side.per_class_counts == (2, 1)
     assert len(side.label_set) == 3
-    assert len(side.audit_index_set()) == 3
-    # label view and index view agree through the layout
-    for lab in side.label_set:
-        assert layout.index_of(lab) in side.audit_index_set()
+    # each label names a distinct held message of its class through the layout
+    held = {layout.index_of(lab) for lab in side.label_set}
+    assert len(held) == 3
+    for i, ident in side.label_set:
+        assert layout.index_of((i, ident)) in layout.class_members[i]
     values = held_messages(random_store(layout, 5), side)
     assert set(values) == set(side.label_set)
 
@@ -137,7 +138,7 @@ def test_side_info_uniform_over_family():
     p = InstanceParams((2, 2), (1, 1), q=3)
     layout = build_layout(p, 0)
     counts = Counter(
-        sample_side_info(layout, seed).audit_index_set() for seed in range(10_000)
+        sample_side_info(layout, seed).label_set for seed in range(10_000)
     )
     assert len(counts) == 4
     expected = 10_000 / 4
@@ -154,7 +155,7 @@ def test_side_info_empty_and_complement_cases():
     layout2 = build_layout(p2, 0)
     sets = enumerate_side_info_sets(layout2)
     assert len(sets) == 4
-    assert len({s.audit_index_set() for s in sets}) == 4
+    assert len({frozenset(map(layout2.index_of, s.label_set)) for s in sets}) == 4
 
 
 def test_enumeration_counts_and_cap():
@@ -168,16 +169,6 @@ def test_enumeration_counts_and_cap():
         enumerate_side_info_sets(layout2, cap=8)
 
 
-def test_explicit_counts_may_cover_class():
-    # sampling with k_i = mu_i is allowed for bound exploration
-    p = InstanceParams((3, 2), (1, 0), q=3)
-    layout = build_layout(p, 0)
-    side = sample_side_info(layout, 1, side_counts=(3, 0))
-    assert side.per_class_counts == (3, 0)
-    with pytest.raises(ParameterError):
-        sample_side_info(layout, 1, side_counts=(4, 0))
-
-
 def test_positional_side_info():
     p = InstanceParams((3, 3), (1, 1), q=5)
     layout = build_layout(p, 9)
@@ -186,7 +177,7 @@ def test_positional_side_info():
     assert pos_side.per_class_counts == side.per_class_counts
     for (i, pos) in pos_side.label_set:
         assert 0 <= pos < p.class_sizes[i]
-        assert layout.class_members[i][pos] in side.audit_index_set()
+        assert (i, layout.labels[i][pos]) in side.label_set
 
 
 # --- the draws equal the random.Random calls they replace -------------------

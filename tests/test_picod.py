@@ -9,6 +9,7 @@ from conftest import make_world
 from ppir.errors import EnumerationCapError, ParameterError, SearchBudgetError
 from ppir.fields import make_field
 from ppir.harness import grid_instances
+from ppir import picod
 from ppir.model import InstanceParams
 from ppir.picod import (
     EncodingMatrix,
@@ -98,22 +99,24 @@ def test_no_single_column_works_exhaustively():
     assert result.exhausted_lengths == (1,)
 
 
-def test_side_family_enumeration_and_cap():
+def test_side_family_enumeration_and_cap(monkeypatch):
     instance = inst((2, 2), (1, 1))
     family = instance.side_family()
     assert len(family) == 4
     assert all(len(s) == 2 for s in family)
+    monkeypatch.setattr(picod, "FAMILY_CAP", 3)
     with pytest.raises(EnumerationCapError):
-        instance.side_family(cap=3)
+        instance.side_family()
 
 
-def test_group_tables_split_block_diagonal_matrices_by_class():
+def test_group_tables_split_block_diagonal_matrices_by_class(monkeypatch):
     # a (2,3) scheme-like matrix: class 0 sends one unit column, class 1 two
     # columns over its own coordinates, so each class is its own group and
     # the tables hold C(2,1) + C(3,1) = 5 partial side sets, not 2 * 3
     instance = inst((2, 3), (1, 1), q=5)
     matrix = EncodingMatrix(((1, 0, 0, 0, 0), (0, 0, 1, 1, 1), (0, 0, 1, 2, 3)), 5)
-    groups = _group_tables(matrix, instance, cap=6)
+    monkeypatch.setattr(picod, "FAMILY_CAP", 6)
+    groups = _group_tables(matrix, instance)
     assert [classes for classes, _ in groups] == [(0,), (1,)]
     assert groups[0][1] == {(0,): (None,), (1,): (0,)}
     assert sorted(groups[1][1]) == [(2,), (3,), (4,)]
@@ -121,10 +124,11 @@ def test_group_tables_split_block_diagonal_matrices_by_class():
     assert all_clients_satisfied(matrix, inst((2, 3), (1, 1), q=5, t=1))
     # one cross-class column joins both classes into a single group
     joined = EncodingMatrix(matrix.columns + ((0, 1, 1, 0, 0),), 5)
-    assert [classes for classes, _ in _group_tables(joined, instance, cap=6)] == [(0, 1)]
+    assert [classes for classes, _ in _group_tables(joined, instance)] == [(0, 1)]
     # the memo never skips the cap, which applies to the full product
+    monkeypatch.setattr(picod, "FAMILY_CAP", 5)
     with pytest.raises(EnumerationCapError, match="6 side sets exceed cap 5"):
-        all_clients_satisfied(matrix, instance, cap=5)
+        all_clients_satisfied(matrix, instance)
 
 
 def test_instance_validation():
@@ -400,7 +404,7 @@ def test_group_tables_match_per_client_checks(case):
                 rank_lower_bound_certificate(matrix, instance)
             continue
         picks = {side: _reference_picks(fresh, side, members) for side in family}
-        walker = _Walker(matrix, instance, 100_000)
+        walker = _Walker(matrix, instance)
         for side in family:
             assert tuple(walker.pick(side, j) for j in range(len(members))) == picks[side]
         gathered = {
@@ -548,8 +552,6 @@ def test_group_elements_permute_points_and_keep_the_side_family(sizes, counts, q
 def test_bruteforce_same_result_with_fewer_or_no_group_elements(monkeypatch):
     # pruning is sound for any subset of the group: no elements (the plain
     # scan) and the generators alone give the same results as the closure
-    import ppir.picod as picod
-
     cases = list(_reference_cases())
     want = [_search_or_budget(instance, l_max, 20_000) for instance, l_max in cases]
     for builder in (lambda instance, points: [], _group_generators):
@@ -615,8 +617,6 @@ def test_bruteforce_budget_error_with_partial_progress():
 def test_bruteforce_budget_checked_before_listing_points(monkeypatch):
     # (5,5)/(2,1) over GF(11) has (11^10 - 1)/10 projective points; listing
     # them would take gigabytes, so the budget must refuse length 1 first
-    import ppir.picod as picod
-
     def listed(q, f):
         raise AssertionError("points listed past the budget")
 

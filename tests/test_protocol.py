@@ -368,7 +368,7 @@ def test_fsi_no_fresh_position_rejected():
     from ppir.model import SideInfo
 
     # hand-build positional side info covering class 0 entirely
-    side = SideInfo((2, 0), ((0, 0), (0, 1)), ())
+    side = SideInfo((2, 0), ((0, 0), (0, 1)))
     with pytest.raises(ParameterError):
         fsi_query(0, side, (2, 2), 1)
 
