@@ -22,16 +22,21 @@ that leaky server implementations are expressible; three shipped mutants
 (class-biased selection, side-dependent parity row count, class tag in the
 answer) demonstrate the audit fails them, making the audit itself testable.
 
-The audits pay once per distinct answer, not once per enumerated triple.
-The honest UsiServer memoizes its answers per store, keyed by (query,
-choice), and returns the same Answer object on every repeat; both audits
-serialize each answer object once, keyed by its id with a weak reference
-beside the bytes, so a reused id never returns another answer's bytes.
-Distributions are still counted over the canonical bytes, so verdicts are
-unchanged.  audit_statistical likewise serializes each distinct query once,
-keyed by its value.  The mutants override answer_for and call usi_answer
-themselves: they build a fresh answer per call, which the identity-keyed
-bytes never match, so every leak they add is serialized and counted.
+The audits pay once per distinct input, not once per enumerated triple,
+while still asking the server for every triple and every trial.  The
+honest UsiServer memoizes its answers per store, keyed by (query, choice),
+and returns the same Answer object on every repeat; both audits serialize
+each answer object once, keyed by its id with a weak reference beside the
+bytes, so a reused id never returns another answer's bytes.  audit_exact
+keeps one wire blob and one list of server choices per distinct query
+value (an honest audit has one), and query invariance means one distinct
+blob.  audit_statistical serializes each distinct query once and digests
+each distinct (query bytes, answer bytes) pair once; equal bytes give the
+same digest, so the estimate is unchanged.  Distributions are still
+counted over the canonical bytes, so verdicts are unchanged.  The mutants
+override answer_for and call usi_answer themselves: they build a fresh
+answer per call, which the identity-keyed bytes never match, so every leak
+they add is serialized and counted.
 
 audit_fsi_query_exact checks the positional (fsi) scheme's query: it
 enumerates fsi_query's own random choices (fsi_choice_space) through the
@@ -45,7 +50,7 @@ import hashlib
 import itertools
 import math
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import EnumerationCapError, ParameterError
@@ -142,14 +147,7 @@ class SideParityDropServer(UsiServer):
         payloads = list(answer.payloads)
         for i, p in enumerate(payloads):
             if p.mode == "parity" and p.symbols:
-                payloads[i] = type(p)(
-                    class_id=p.class_id,
-                    mode=p.mode,
-                    labels=p.labels,
-                    identifier_order=p.identifier_order,
-                    code_length=p.code_length,
-                    symbols=p.symbols[:-1],
-                )
+                payloads[i] = p._replace(symbols=p.symbols[:-1])
                 break
         return type(answer)(
             q=answer.q, msg_len=answer.msg_len, payloads=tuple(payloads),
@@ -269,22 +267,26 @@ def audit_exact(
         )
     sides = enumerate_side_info_sets(layout, cap=cap)
     answer_bytes = _answer_serializer()
-    query_bytes = set()
+    answer_for = server.answer_for
+    queries = {}  # distinct query -> (its wire bytes, the server's choice list)
     distributions = {}
     for v in range(params.num_classes):
         for s_idx, side in enumerate(sides):
             query = usi_query(v, side, demand=demand)
-            query_bytes.add(canonical_bytes(query_to_json(query)))
-            spaces = server.choice_space(query, layout)
+            seen = queries.get(query)
+            if seen is None:
+                seen = queries[query] = (
+                    canonical_bytes(query_to_json(query)),
+                    list(itertools.product(*server.choice_space(query, layout))),
+                )
+            choices = seen[1]
             counts = {}
-            total = 0
-            for choice in itertools.product(*spaces):
-                blob = answer_bytes(server.answer_for(query, store, choice, v=v, side=side))
+            for choice in choices:
+                blob = answer_bytes(answer_for(query, store, choice, v, side))
                 counts[blob] = counts.get(blob, 0) + 1
-                total += 1
             key = tuple(sorted(counts.items()))
-            distributions.setdefault(key, []).append((v, s_idx, counts, total))
-    query_invariant = len(query_bytes) == 1
+            distributions.setdefault(key, []).append((v, s_idx, counts, len(choices)))
+    query_invariant = len({blob for blob, _ in queries.values()}) == 1
 
     # pairs with identical distributions have distance zero, so the table
     # lists one entry per pair of distinct distributions; `groups` records
@@ -367,6 +369,7 @@ def audit_statistical(
     sizes = [trials // blocks + (1 if b < trials % blocks else 0) for b in range(blocks)]
     answer_bytes = _answer_serializer()
     query_blobs = {}  # each distinct query serialized once
+    buckets = {}  # each distinct (query bytes, answer bytes) pair digested once
     mi_sum = 0.0
     bias_sum = 0.0
     kx_max = ky_max = 0
@@ -380,14 +383,15 @@ def audit_statistical(
             v = rng.randrange(params.num_classes)
             side = sample_side_info(layout, rng)
             query = usi_query(v, side, demand=demand)
-            answer = server.answer_for(query, store, choice, v=v, side=side)
+            answer = server.answer_for(query, store, choice, v, side)
             qb = query_blobs.get(query)
             if qb is None:
                 qb = query_blobs[query] = canonical_bytes(query_to_json(query))
-            digest = hashlib.blake2b(
-                qb + answer_bytes(answer), digest_size=8
-            ).digest()
-            y = int.from_bytes(digest, "big") % BUCKETS
+            ab = answer_bytes(answer)
+            y = buckets.get((qb, ab))
+            if y is None:
+                digest = hashlib.blake2b(qb + ab, digest_size=8).digest()
+                y = buckets[(qb, ab)] = int.from_bytes(digest, "big") % BUCKETS
             x = (v, side.label_set)
             counts[(x, y)] = counts.get((x, y), 0) + 1
         w = n_b / trials
@@ -440,7 +444,7 @@ class FsiPinAllUser(FsiUser):
         picks = list(query.picks)
         picks[drop] = min(p for i, p in side.label_set if i == drop)
         flags = tuple(f or i == drop for i, f in enumerate(query.known_flags))
-        return replace(query, picks=tuple(picks), known_count=sum(flags), known_flags=flags)
+        return query._replace(picks=tuple(picks), known_count=sum(flags), known_flags=flags)
 
 
 FSI_MUTANT_USERS = (FsiPinAllUser,)

@@ -171,8 +171,18 @@ def cmd_oracle(args) -> int:
 def cmd_audit(args) -> int:
     from .audit import MUTANT_SERVERS, audit_exact, audit_statistical
     from .model import build_layout, random_store
+    from .protocol import longest_code_length
 
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
     params = _params_from_args(args)
+    # here, not in _params_from_args: oracle searches a field below the scheme's on purpose
+    need = longest_code_length(params.class_sizes, params.side_counts)
+    if params.q < need:
+        raise ConfigError(
+            f"--q: q={params.q} is below {need}, the longest code the usi scheme "
+            "needs for this instance"
+        )
     layout = build_layout(params, args.seed)
     server = None
     if args.mutant:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .errors import EnumerationCapError, ParameterError
@@ -172,12 +173,14 @@ class MessageStore:
         return self.messages[self.layout.index_of(label)]
 
 
-@dataclass(frozen=True)
-class SideInfo:
-    """User-side view of held messages: label pairs and per-class counts."""
+class SideInfo(namedtuple("SideInfo", ("per_class_counts", "label_set"))):
+    """User-side view of held messages: label pairs and per-class counts.
 
-    per_class_counts: tuple[int, ...]
-    label_set: tuple[tuple[int, int], ...]
+    A tuple, so it hashes, compares and constructs in C; it also equals a
+    plain tuple of the same items, and no code compares it with one.
+    """
+
+    __slots__ = ()
 
 
 def build_layout(params: InstanceParams, seed, identifier_range=DEFAULT_IDENTIFIER_RANGE):

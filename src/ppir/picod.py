@@ -164,6 +164,12 @@ class PicodInstance:
                 raise ParameterError("side counts must lie within the class sizes")
         if not 1 <= self.demand_classes <= len(self.class_members):
             raise ParameterError("demand must lie in [1, num_classes]")
+        open_classes = sum(len(m) > k for m, k in zip(self.class_members, self.side_counts))
+        if self.demand_classes > open_classes:
+            raise ParameterError(
+                f"demand {self.demand_classes} exceeds the {open_classes} classes "
+                "that are not fully held"
+            )
         if self.total_side > f - self.demand_classes:
             raise ParameterError("side information too large for the demand")
         if self.q < 2:
@@ -399,16 +405,22 @@ def answer_to_encoding_matrix(answer: Answer, layout) -> EncodingMatrix:
 
 
 def _ordered_classes(instance: PicodInstance):
-    floors = [
-        class_floor(mu, k)
-        for mu, k in zip(instance.class_sizes, instance.side_counts)
-    ]
-    order = sorted(range(instance.num_classes), key=lambda j: (floors[j], j))
+    """Every class's floor, and the classes a client can be served in, by floor.
+
+    A fully held class (k_i = mu_i) has floor 0 but nothing new to decode,
+    so no client is ever served in it and the order leaves it out.
+    """
+    sizes, counts = instance.class_sizes, instance.side_counts
+    floors = [class_floor(mu, k) for mu, k in zip(sizes, counts)]
+    order = sorted(
+        (j for j in range(instance.num_classes) if counts[j] < sizes[j]),
+        key=lambda j: (floors[j], j),
+    )
     return floors, order
 
 
 def broadcast_lower_bound(instance: PicodInstance) -> int:
-    """Minimum broadcasts: sum of the demand_classes smallest class floors."""
+    """Minimum broadcasts: sum of the demand_classes smallest floors of classes not fully held."""
     floors, order = _ordered_classes(instance)
     return sum(floors[j] for j in order[: instance.demand_classes])
 
@@ -935,17 +947,18 @@ def rank_lower_bound_certificate(
     """Constructive witness that rank(matrix) meets the broadcast lower bound.
 
     Requires the matrix to satisfy every client.  The served classes are
-    tried as subsets of demand_classes classes ordered by floor sum and then
-    subset, each through the same walk, fallback search and rank checks;
-    the first is the demand_classes classes with the smallest floors, the
-    only subset at full demand.  Raises the first attempt's CertificateError
+    tried as subsets of demand_classes classes, drawn from those not fully
+    held and ordered by floor sum and then subset, each through the same
+    walk, fallback search and rank checks; the first is the demand_classes
+    classes with the smallest floors, the only subset when every class not
+    fully held is demanded.  Raises the first attempt's CertificateError
     (with the partial report attached) if all fail; that would falsify the
     lower bound and is treated as an implementation bug signal.
     """
     walker = _Walker(matrix, instance)
     floors, order = _ordered_classes(instance)
     subsets = sorted(
-        itertools.combinations(range(instance.num_classes), instance.demand_classes),
+        itertools.combinations(sorted(order), instance.demand_classes),
         key=lambda subset: (sum(floors[j] for j in subset), subset),
     )
     error = None

@@ -29,6 +29,7 @@ is query -> answer -> decode, and independent sessions share no state.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,50 +46,74 @@ from .model import MessageStore, SideInfo, as_rng, sample_positions
 from .rates import class_floor, class_plan, expected_download_rows  # noqa: F401 (re-exported)
 
 
-@dataclass(frozen=True)
-class Query:
-    scheme: str  # "usi" | "musi" | "fsi"
-    side_counts: tuple[int, ...] | None = None
-    demand: int = 1
-    picks: tuple[int, ...] | None = None  # fsi: one position per class
-    known_count: int | None = None  # fsi: how many picks the user can name
-    # fsi, user-local decode hint; never serialized (would reveal which picks
-    # are side information to anyone reading the wire)
-    known_flags: tuple[bool, ...] | None = None
+class Query(
+    namedtuple(
+        "Query",
+        ("scheme", "side_counts", "demand", "picks", "known_count", "known_flags"),
+        defaults=(None, 1, None, None, None),
+    )
+):
+    """What the user sends: the count profile (usi/musi) or the picks (fsi).
+
+    scheme is "usi", "musi" or "fsi".  usi/musi fill side_counts and demand;
+    fsi fills picks (one position per class) and known_count (how many picks
+    the user can name).  known_flags is fsi's user-local decode hint and is
+    never serialized: it would reveal which picks are side information to
+    anyone reading the wire.
+
+    The per-round value types of this module are tuples, so they hash,
+    compare and construct in C; each also equals a plain tuple of the same
+    items, and no code here compares them across kinds.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ClassPayload:
-    class_id: int
-    mode: str  # "uncoded" | "parity"
-    labels: tuple[tuple[int, int], ...] | None
-    identifier_order: tuple[int, ...] | None
-    code_length: int | None
-    symbols: tuple[tuple[int, ...], ...]
+class ClassPayload(
+    namedtuple(
+        "ClassPayload",
+        ("class_id", "mode", "labels", "identifier_order", "code_length", "symbols"),
+    )
+):
+    """One class of a usi/musi answer.
+
+    mode "uncoded" carries label pairs and their rows; mode "parity" carries
+    the class's identifiers in systematic order, the code length and the
+    parity rows.  A tuple, as Query explains.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class JointPayload:
-    """Cross-class parity block used by the fsi scheme."""
+class JointPayload(namedtuple("JointPayload", ("picks", "known_count", "code_length", "symbols"))):
+    """Cross-class parity block used by the fsi scheme.  A tuple, as Query explains."""
 
-    picks: tuple[int, ...]
-    known_count: int
-    code_length: int
-    symbols: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
 class Answer:
+    """The server's reply.
+
+    Stays a dataclass: the audit serializer keys answers by id beside a weak
+    reference, and tuples cannot be weakly referenced.
+    """
+
     q: int
     msg_len: int
     payloads: tuple
     extras: tuple = ()  # empty for honest servers; audited byte-for-byte
 
 
-@dataclass(frozen=True)
-class RetrievalResult:
-    decoded: tuple  # ((class, identifier-or-position), symbols) for new messages
-    new_from_class: tuple[int, ...]
+class RetrievalResult(namedtuple("RetrievalResult", ("decoded", "new_from_class"))):
+    """What one decode recovered.
+
+    decoded holds ((class, identifier-or-position), symbols) per new
+    message; new_from_class counts them per class.  A tuple, as Query
+    explains.
+    """
+
+    __slots__ = ()
 
     @property
     def total_new(self) -> int:
@@ -126,7 +151,7 @@ def usi_query(v: int, side: SideInfo, demand: int = 1) -> Query:
     if demand < 1:
         raise ParameterError("demand must be at least 1")
     scheme = "usi" if demand == 1 else "musi"
-    return Query(scheme=scheme, side_counts=tuple(side.per_class_counts), demand=demand)
+    return Query(scheme, tuple(side.per_class_counts), demand)
 
 
 def uncoded_choice_space(mu: int, k: int, demand: int = 1):
@@ -162,12 +187,12 @@ def usi_answer(query: Query, store: MessageStore, seed=None, selections=None) ->
             labels, members = layout.labels[i], layout.class_members[i]
             payloads.append(
                 ClassPayload(
-                    class_id=i,
-                    mode="uncoded",
-                    labels=tuple([(i, labels[p]) for p in pos]),
-                    identifier_order=None,
-                    code_length=None,
-                    symbols=tuple([messages[members[p]] for p in pos]),
+                    i,
+                    "uncoded",
+                    tuple([(i, labels[p]) for p in pos]),
+                    None,
+                    None,
+                    tuple([messages[members[p]] for p in pos]),
                 )
             )
         else:
@@ -180,12 +205,7 @@ def usi_answer(query: Query, store: MessageStore, seed=None, selections=None) ->
             class_rows = [messages[m] for m in layout.class_members[i]]
             payloads.append(
                 ClassPayload(
-                    class_id=i,
-                    mode="parity",
-                    labels=None,
-                    identifier_order=layout.labels[i],
-                    code_length=n,
-                    symbols=tuple(code.parity_rows(class_rows)),
+                    i, "parity", None, layout.labels[i], n, tuple(code.parity_rows(class_rows))
                 )
             )
     return Answer(q=params.q, msg_len=params.msg_len, payloads=tuple(payloads))

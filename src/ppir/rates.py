@@ -14,7 +14,7 @@ from the package but its errors, so `ppir capacity` loads it alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ParameterError, UnsupportedParametersError
@@ -135,20 +135,24 @@ def _frac_json(x: Fraction):
     return {"num": x.numerator, "den": x.denominator}
 
 
-@dataclass(frozen=True)
-class RateReport:
-    class_sizes: tuple[int, ...]
-    side_counts: tuple[int, ...]
-    capacity: Fraction
-    ppir: Fraction
-    pir_si: Fraction
-    regimes: frozenset
-    fsi: Fraction | None = None
-    identified: int | None = None
-    multi: Fraction | None = None
-    demand: int = 1
-    num_desired: int = 1
-    msi_bounds: tuple | None = None
+class RateReport(
+    namedtuple(
+        "RateReport",
+        (
+            "class_sizes", "side_counts", "capacity", "ppir", "pir_si", "regimes",
+            "fsi", "identified", "multi", "demand", "num_desired", "msi_bounds",
+        ),
+        defaults=(None, None, None, 1, 1, None),
+    )
+):
+    """The rates of one instance; fsi, multi and msi_bounds only when asked for.
+
+    A tuple rather than a dataclass, so `ppir capacity` loads neither
+    `dataclasses` nor `inspect`; it also equals a plain tuple of the same
+    items, and no code compares it with one.
+    """
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         doc = {

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -18,8 +19,8 @@ from ppir.audit import (
 )
 from ppir.errors import EnumerationCapError, ParameterError
 from ppir.model import InstanceParams, build_layout, random_store, sample_side_info
-from ppir.protocol import Answer, usi_answer, usi_query
-from ppir.wire import answer_to_json, canonical_bytes
+from ppir.protocol import Answer, Query, usi_answer, usi_query
+from ppir.wire import answer_to_json, canonical_bytes, query_from_json, query_to_json
 
 
 class ReferenceServer(UsiServer):
@@ -37,6 +38,43 @@ class LeakyServer(UsiServer):
     def answer_for(self, query, store, choice, v=None, side=None):
         answer = super().answer_for(query, store, choice, v=v, side=side)
         return Answer(answer.q, answer.msg_len, answer.payloads, answer.extras + (("v", v),))
+
+
+def counting(server_cls):
+    """server_cls with a count of its answer_for calls."""
+
+    class Counting(server_cls):
+        calls = 0
+
+        def answer_for(self, query, store, choice, v=None, side=None):
+            self.calls += 1
+            return super().answer_for(query, store, choice, v, side)
+
+    return Counting
+
+
+@pytest.mark.parametrize("server_cls", (UsiServer, *MUTANT_SERVERS))
+def test_audits_ask_the_server_for_every_triple_and_trial(server_cls):
+    # the per-distinct-input caches sit in the audit, not in front of the
+    # server: every (v, S, choice) triple and every trial still reaches it
+    params, layout, store, _, _ = make_world((4, 2), (0, 1), seed=3)
+    server = counting(server_cls)()
+    exact = audit_exact(store, server=server)
+    assert server.calls == exact_audit_work(layout) == 16
+    assert exact.passed == (server_cls is UsiServer), server_cls.name
+    server = counting(server_cls)()
+    stat = audit_statistical(layout, 1_000, 12, server=server)
+    assert server.calls == 1_000
+    assert stat.passed == (server_cls is UsiServer), server_cls.name
+
+
+def test_query_read_back_from_the_wire_is_the_same_key():
+    layout = build_layout(InstanceParams((5, 4), (1, 2), q=7), 20)
+    for demand in (1, 2):
+        query = usi_query(1, sample_side_info(layout, 21), demand=demand)
+        back = query_from_json(json.loads(canonical_bytes(query_to_json(query))))
+        assert back == query and hash(back) == hash(query)
+        assert type(back) is Query and back.demand == demand
 
 
 def test_exact_audit_honest_mixed_branches():

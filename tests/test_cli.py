@@ -101,6 +101,32 @@ def test_audit_command_pass_and_mutant(capsys):
     assert json.loads(out)["verdict"] == "fail"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--mode", "statistical", "--trials", "0"), "error: --trials must be at least 1, got 0\n"),
+        (("--q", "4"), "error: --q: q=4 is below 5, the longest code the usi scheme "
+                       "needs for this instance\n"),
+    ],
+)
+def test_audit_flags_the_audit_cannot_run_are_config_errors(capsys, flags, message):
+    code, out, err = run_cli(
+        capsys, "audit", "--class-sizes", "3,3", "--side-counts", "1,1", *flags
+    )
+    assert code == 2 and out == ""
+    assert err == message
+
+
+def test_oracle_keeps_a_field_below_the_scheme_code(capsys):
+    # the scheme's [5, 3] codes need q >= 5, but the converse search over GF(2) is legitimate
+    code, out, _ = run_cli(
+        capsys, "oracle", "--class-sizes", "3,3", "--side-counts", "1,1", "--q", "2"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["instance"]["q"] == 2 and doc["bruteforce"]["min_length"] == 4
+
+
 def test_audit_command_unknown_mutant(capsys):
     code, _, err = run_cli(
         capsys,

@@ -1,7 +1,9 @@
 """The import graph: which modules a command or import loads, and the lazy package.
 
 Each case runs in a fresh interpreter, so what an earlier test imported
-cannot hide a module that loads too early.
+cannot hide a module that loads too early.  Only modules the probed code
+loads count: a site hook (a `.pth` file) may load `typing` before any code
+runs, and that is not the program's doing.
 """
 
 import json
@@ -13,14 +15,17 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 WATCHED = (
-    "jsonschema", "yaml", "ppir.harness", "ppir.picod", "ppir.audit", "ppir.mds",
-    "ppir.model", "ppir.protocol",
+    "dataclasses", "typing", "jsonschema", "yaml", "ppir.harness", "ppir.picod",
+    "ppir.audit", "ppir.mds", "ppir.model", "ppir.protocol",
 )
 
 
 def loaded_after(code):
-    """Which WATCHED modules are in sys.modules after running code."""
-    probe = code + f"\nimport json, sys\nprint(json.dumps([m for m in {WATCHED!r} if m in sys.modules]))"
+    """Which WATCHED modules running code adds to sys.modules."""
+    probe = (
+        "import sys\n_before = set(sys.modules)\n" + code + "\nimport json\n"
+        f"print(json.dumps([m for m in {WATCHED!r} if m in sys.modules and m not in _before]))"
+    )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
@@ -29,6 +34,7 @@ def loaded_after(code):
 
 
 def test_capacity_command_loads_only_rates():
+    # RateReport is a tuple type, so neither dataclasses nor typing loads
     code = (
         "from ppir.cli import main\n"
         "assert main(['capacity', '--class-sizes', '3,3', '--side-counts', '1,1']) == 0"
@@ -39,7 +45,7 @@ def test_capacity_command_loads_only_rates():
 def test_harness_does_not_load_jsonschema_or_the_oracle():
     # picod and audit load inside the oracle and audit sections only
     assert loaded_after("import ppir.harness") == [
-        "yaml", "ppir.harness", "ppir.mds", "ppir.model", "ppir.protocol"
+        "dataclasses", "yaml", "ppir.harness", "ppir.mds", "ppir.model", "ppir.protocol"
     ]
 
 

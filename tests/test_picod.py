@@ -179,6 +179,24 @@ def test_bound_formulas():
     assert broadcast_lower_bound(inst((5, 3), (2, 1), q=11, t=1)) == 2
 
 
+@pytest.mark.parametrize("sizes, counts, minimum", [((2, 2, 2), (0, 0, 2), 2), ((3, 2, 2), (1, 0, 2), 3)])
+def test_fully_held_classes_are_never_served(sizes, counts, minimum):
+    # a fully held class has floor 0 but nothing new to decode: the bound
+    # sums the floors of the classes that are not fully held, the exhaustive
+    # minimum and its certificate agree, and no demand can include the held class
+    bounds = list(itertools.accumulate(sizes, initial=0))
+    members = tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:]))
+    instance = PicodInstance(members, counts, 2, 2)
+    assert broadcast_lower_bound(instance) == minimum
+    search = min_code_length_bruteforce(instance, minimum + 1)
+    assert search.found and search.min_length == minimum
+    cert = rank_lower_bound_certificate(search.witness, instance)
+    assert cert.ok and cert.rank_floor == minimum
+    assert 2 not in cert.chosen_classes
+    with pytest.raises(ParameterError, match="exceeds the 2 classes that are not fully held"):
+        PicodInstance(members, counts, 3, 2)
+
+
 def test_sandwich_exhaustive_small():
     for params in grid_instances({"num_classes": [2, 3], "max_class_size": 4}, (1,), 1):
         instance = instance_from_params(params)
@@ -390,8 +408,14 @@ def test_group_tables_match_per_client_checks(case):
     # are the per-client first picks gathered over the family
     matrix, members, side_counts = case
     f, q = matrix.num_messages, matrix.q
+    open_classes = sum(len(m) > k for m, k in zip(members, side_counts))
     for t in range(1, len(members) + 1):
         if sum(side_counts) > f - t:
+            continue
+        if t > open_classes:
+            # only a class not fully held has something new to decode
+            with pytest.raises(ParameterError, match="not fully held"):
+                PicodInstance(members, side_counts, t, q)
             continue
         instance = PicodInstance(members, side_counts, t, q)
         fresh = EncodingMatrix(matrix.columns, q)
