@@ -55,20 +55,16 @@ def _emit(doc: dict) -> None:
 
 
 def cmd_run(args) -> int:
-    from .harness import load_config, report_csv, run_experiment, write_report
+    from .harness import load_config, report_csv, run_experiment, run_flag_overrides, write_report
 
     config = load_config(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.trials is not None:
-        overrides["trials"] = args.trials
+    overrides = run_flag_overrides(
+        {"--seed": args.seed, "--trials": args.trials, "--budget": args.budget}
+    )
     if args.out is not None:
         overrides["output"] = args.out
     if args.format is not None:
         overrides["formats"] = ("json", "csv") if args.format == "both" else (args.format,)
-    if args.budget is not None:
-        overrides["oracle_budget"] = args.budget
     if overrides:
         from dataclasses import replace
 

@@ -110,13 +110,17 @@ def _mapping(fields, required=()):
 
 
 _BOOL = _typed(bool, "true or false")
+# checks `ppir run`'s flags share with the config keys they override
+_SEED = _integer(0)
+_TRIALS = _integer(0)
+_BUDGET = _integer(1)
 _CHECK_CONFIG = _mapping(
     {
-        "seed": _integer(0),
+        "seed": _SEED,
         "scheme": _one_of("usi", "fsi", "musi"),
         "demand": _integer(1),
         "num_desired": _integer(1),
-        "trials": _integer(0),
+        "trials": _TRIALS,
         "msg_len": _integer(1),
         "instances": _list_of(
             _mapping(
@@ -137,7 +141,7 @@ _CHECK_CONFIG = _mapping(
             },
             required=("num_classes", "max_class_size"),
         ),
-        "oracle": _mapping({"enabled": _BOOL, "budget": _integer(1), "l_max": _integer(1)}),
+        "oracle": _mapping({"enabled": _BOOL, "budget": _BUDGET, "l_max": _integer(1)}),
         "audit": _one_of("off", "exact", "statistical"),
         "audit_trials": _integer(1),
         "audit_cap": _integer(1),
@@ -272,6 +276,29 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         formats=("json", "csv") if fmt == "both" else (fmt,),
         include_records=doc.get("include_records", True),
     )
+
+
+# `ppir run` flag -> (the ExperimentConfig field it sets, its config key's check)
+_RUN_FLAGS = {
+    "--seed": ("master_seed", _SEED),
+    "--trials": ("trials", _TRIALS),
+    "--budget": ("oracle_budget", _BUDGET),
+}
+
+
+def run_flag_overrides(values: dict) -> dict:
+    """ExperimentConfig fields for the `ppir run` flags in `values` that are set.
+
+    Each value passes the check of the config key it overrides, under the
+    flag's name, so `--trials -3` is a ConfigError as `trials: -3` is.
+    """
+    out = {}
+    for flag, value in values.items():
+        if value is not None:
+            field, check = _RUN_FLAGS[flag]
+            check(value, flag)
+            out[field] = value
+    return out
 
 
 def load_config(path) -> ExperimentConfig:

@@ -10,8 +10,9 @@ payloads reproducible for a given (n, k, q).
 Encoding and decoding are one operation: a small coefficient matrix times k
 rows of L symbols.  Encoding uses the n-k parity columns of the generator,
 built once per code; decoding uses the recovery matrix of the known
-positions, G^T A^-1 with A the k x k generator submatrix at those positions.
-Both go through `_combine`.
+positions, which inverts only the block of P = G[:, k:] that joins the
+unknown message positions to the known parity positions (see
+_recovery_matrix).  Both go through `_combine`.
 
 For L >= _PACK_MIN_LEN each row is packed into one Python int with a
 fixed-width slot per symbol (the packed-word idea of Plank, Greenan and
@@ -28,8 +29,9 @@ Below that length packing saves little or loses (it lost at L <= 4 on
 GF(2^8), at L <= 8 on GF(2^16) and at L <= 2 on small prime codes), and
 slots wider than 64 bits have no array type, so those calls take the column
 loop over FiniteField.dot, which is also the reference the packed kernel is
-tested against.  Symbols are range-checked (CorruptionError) before either
-path, and both return tuples of plain ints.
+tested against.  Every symbol is range-checked (CorruptionError): short
+rows one symbol at a time, unpacked long rows by min and max, packed rows a
+whole packed word at a time.  Both paths return tuples of plain ints.
 
 Each code keeps the recovery matrices of its last _RECOVERY_CACHE_SIZE
 erasure patterns: protocol rounds over short messages repeat a few patterns,
@@ -105,20 +107,45 @@ class SystematicMdsCode:
         return _combine(self.field, self._parity, message_rows)
 
     def _recovery_matrix(self, positions):
-        """Rows of G^T A^-1 for the positions outside `positions`, in order."""
+        """Rows giving the positions outside `positions`, in order, from those k.
+
+        `positions` is sorted, so it lists the known message positions S
+        before the known parity positions J.  The unknown message positions
+        U = [0, k) - S number |J|, and the parity equations at J read
+        c_J - x_S P_SJ = x_U P_UJ; any square block of P is invertible (the
+        MDS property), so x_U = (c_J - x_S P_SJ) P_UJ^-1 needs only a
+        |J| x |J| inverse.  The parity positions outside J then follow from
+        their columns of P.  The map is unique, so this equals G^T A^-1 for
+        A the generator's columns at `positions`.
+        """
         cache = self._recovery
         cached = cache.pop(positions, None)
         if cached is None:
             f = self.field
             gen = self.generator
-            # columns of the generator at the known positions, transposed
-            a_t = [[gen[r][p] for r in range(self.k)] for p in positions]
-            rest = [
-                [gen[r][j] for r in range(self.k)]
-                for j in range(self.n)
-                if j not in positions
-            ]
-            cached = linalg.mat_mul(f, rest, linalg.invert(f, a_t))
+            k = self.k
+            known = [p for p in positions if p < k]
+            parity = positions[len(known):]
+            unknown = [u for u in range(k) if u not in known]
+            cached = []
+            if unknown:
+                inv = linalg.invert(f, [[gen[u][j] for j in parity] for u in unknown])
+                via_known = linalg.mat_mul(f, [[gen[s][j] for j in parity] for s in known], inv)
+                # x_u over the k known positions, one row per u in U
+                cached = [
+                    [f.neg(row[a]) for row in via_known] + [row[a] for row in inv]
+                    for a in range(len(unknown))
+                ]
+            columns = list(zip(*cached))
+            for t in range(k, self.n):
+                if t in parity:
+                    continue
+                direct = [gen[s][t] for s in known] + [0] * len(parity)
+                through = [gen[u][t] for u in unknown]
+                cached.append(
+                    [f.add(d, f.dot(through, col)) for d, col in zip(direct, columns)]
+                    if unknown else direct
+                )
             if len(cache) >= _RECOVERY_CACHE_SIZE:
                 del cache[next(iter(cache))]  # least recently used
         cache[positions] = cached
@@ -170,24 +197,26 @@ def _combine(field: FiniteField, coeffs, rows):
     """coeffs (r x k) times rows (k x L): r tuples of L symbols.
 
     Raises CorruptionError unless the rows have one length and every symbol
-    lies in [0, q).
+    lies in [0, q).  Short rows are checked symbol by symbol, long rows too
+    wide to pack by min and max, and packed rows word by word in
+    _combine_packed.
     """
     length = len(rows[0])
     for row in rows:
         if len(row) != length:
             raise CorruptionError(f"rows of lengths {length} and {len(row)}")
-    short = length < _PACK_MIN_LEN
-    bits = None if short else _slot_bits(field, len(rows))
     q = field.q
-    for row in rows:
-        # min and max pay for their call only on long rows
-        if short:
+    if length < _PACK_MIN_LEN:
+        for row in rows:
             for s in row:
                 if not 0 <= s < q:
                     raise CorruptionError(f"symbol outside [0, {q})")
-        elif min(row) < 0 or max(row) >= q:
-            raise CorruptionError(f"symbol outside [0, {q})")
+        return _combine_scalar(field, coeffs, list(zip(*rows)))
+    bits = _slot_bits(field, len(rows))
     if bits is None:
+        for row in rows:
+            if min(row) < 0 or max(row) >= q:
+                raise CorruptionError(f"symbol outside [0, {q})")
         return _combine_scalar(field, coeffs, list(zip(*rows)))
     return _combine_packed(field, coeffs, rows, bits)
 
@@ -199,14 +228,31 @@ def _combine_scalar(field: FiniteField, coeffs, cols):
 
 
 def _combine_packed(field: FiniteField, coeffs, rows, bits):
-    """_combine with each row packed into one int of `bits`-bit slots."""
+    """_combine with each row packed into one int of `bits`-bit slots.
+
+    Raises CorruptionError unless every symbol lies in [0, q).  A negative
+    symbol or one too wide for its slot fails to pack (OverflowError).  In a
+    packed row, a slot value s >= q either sets the slot's top bit, or sets
+    it once 2^(bits-1) - q is added to every slot: q <= 2^(bits-1) for every
+    slot width _slot_bits picks, so for s < 2^(bits-1) that sum stays below
+    2^bits and no carry crosses into the next slot.
+    """
     typecode = _SLOT_TYPECODES[bits]
     order = sys.byteorder
     length = len(rows[0])
     size = length * bits // 8
-    packed = [int.from_bytes(array(typecode, row).tobytes(), order) for row in rows]
+    q = field.q
+    try:
+        packed = [int.from_bytes(array(typecode, row).tobytes(), order) for row in rows]
+    except OverflowError:
+        raise CorruptionError(f"symbol outside [0, {q})") from None
+    ones = int.from_bytes(array(typecode, [1]).tobytes() * length, order)
+    top_bits = ones << (bits - 1)
+    lift = ones * ((1 << (bits - 1)) - q)
+    for x in packed:
+        if (x | (x + lift)) & top_bits:
+            raise CorruptionError(f"symbol outside [0, {q})")
     if field.modulus is None:
-        q = field.q
         out = []
         for cs in coeffs:
             acc = 0
@@ -228,7 +274,6 @@ def _combine_packed(field: FiniteField, coeffs, rows, bits):
     # x^m = sum of the modulus's low terms; fold slot bits m..top down by
     # that until every slot is below degree m
     low_terms = [b for b in range(m) if mod >> b & 1]
-    ones = int.from_bytes(array(typecode, [1] * length).tobytes(), order)
     folds = []
     top = 2 * m - 2
     while top >= m:

@@ -3,7 +3,8 @@
 Every document carries a "format" tag with a version suffix; readers reject
 unknown tags.  Canonical bytes are json.dumps with sorted keys and compact
 separators, so byte-identity comparisons (privacy audits, replay) are
-deterministic.  Symbols serialize as plain integers in [0, q).
+deterministic.  Symbols serialize as plain integers in [0, q); readers take
+a symbol row only when every element is a JSON integer.
 """
 
 from __future__ import annotations
@@ -22,6 +23,24 @@ SIDE_FORMAT = "ppir.side/1"
 
 def canonical_bytes(doc: dict) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+
+
+_INT_ONLY = {int}
+
+
+def _symbol_rows(rows, what):
+    """Rows of symbols as tuples; a row must hold only JSON integers.
+
+    The element types are checked in C, once per row, so a row costs no
+    Python call per symbol.  true, 0.7 and "0" are refused rather than read
+    as 1, 0 and 0.
+    """
+    out = []
+    for row in rows:
+        if not set(map(type, row)) <= _INT_ONLY:
+            raise WireFormatError(f"{what} must hold integer symbols only")
+        out.append(tuple(row))
+    return out
 
 
 def _expect(doc, fmt):
@@ -95,7 +114,7 @@ def _payload_to_json(payload) -> dict:
 def _payload_from_json(doc: dict):
     try:
         mode = doc["mode"]
-        symbols = tuple(tuple(int(s) for s in row) for row in doc["symbols"])
+        symbols = tuple(_symbol_rows(doc["symbols"], "payload symbol rows"))
         if mode == "uncoded":
             return ClassPayload(
                 class_id=int(doc["class_id"]),
@@ -179,7 +198,7 @@ def side_from_json(doc: dict):
     _expect(doc, SIDE_FORMAT)
     try:
         labels = tuple((int(i), int(a)) for i, a in doc["labels"])
-        messages = [tuple(int(s) for s in row) for row in doc["messages"]]
+        messages = _symbol_rows(doc["messages"], "side-information messages")
         counts = tuple(int(k) for k in doc["per_class_counts"])
     except (KeyError, TypeError, ValueError) as exc:
         raise WireFormatError(f"malformed side-information document: {exc}") from exc

@@ -173,6 +173,31 @@ def test_run_command_names_failed_checks_on_stderr(tmp_path, capsys, monkeypatch
     assert "failed_checks" not in (out_dir / "report.json").read_text()
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--trials", "-3", "--trials must be an integer >= 0, got -3"),
+        ("--seed", "-1", "--seed must be an integer >= 0, got -1"),
+        ("--budget", "0", "--budget must be an integer >= 1, got 0"),
+    ],
+)
+def test_run_command_checks_flags_like_the_config_keys(tmp_path, capsys, flag, value, message):
+    # each flag was applied after the config was checked, so `--trials -3`
+    # ran and reported "trials": -3 where `trials: -3` is refused
+    config = tmp_path / "config.yaml"
+    config.write_text(
+        "trials: 1\ninstances:\n  - class_sizes: [3, 3]\n    side_counts: [1, 1]\n"
+    )
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "run", str(config), flag, value, "--out", str(out_dir))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    assert not out_dir.exists()
+    code, _, _ = run_cli(capsys, "run", str(config), "--trials", "0", "--out", str(out_dir))
+    assert code == 0
+    assert json.loads((out_dir / "report.json").read_text())["config"]["trials"] == 0
+
+
 def test_run_command_config_error(tmp_path, capsys):
     config = tmp_path / "bad.yaml"
     for text in (
@@ -350,6 +375,35 @@ def test_replay_command_malformed_side(tmp_path, capsys):
         )
         assert code == 2 and out == ""
         assert reason in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("symbol", [True, 0.7, "0"])
+@pytest.mark.parametrize("document", ["answer", "side"])
+def test_replay_command_rejects_non_integer_symbols(tmp_path, capsys, document, symbol):
+    from conftest import make_world
+    from ppir.protocol import usi_answer, usi_query
+    from ppir.wire import answer_to_json, query_to_json, side_to_json
+
+    params, layout, store, side, values = make_world((3, 3), (1, 1), seed=2)
+    query = usi_query(0, side)
+    answer_doc = answer_to_json(usi_answer(query, store, 3))
+    side_doc = side_to_json(side, values)
+    if document == "answer":
+        answer_doc["payloads"][0]["symbols"][0][0] = symbol
+    else:
+        side_doc["messages"][0][0] = symbol
+    (tmp_path / "q.json").write_text(json.dumps(query_to_json(query)))
+    (tmp_path / "a.json").write_text(json.dumps(answer_doc))
+    (tmp_path / "s.json").write_text(json.dumps(side_doc))
+    code, out, err = run_cli(
+        capsys,
+        "replay",
+        "--query", str(tmp_path / "q.json"),
+        "--answer", str(tmp_path / "a.json"),
+        "--side", str(tmp_path / "s.json"),
+    )
+    assert code == 2 and out == ""
+    assert "integer symbols only" in err and "Traceback" not in err
 
 
 def test_run_command_fsi_default_field_size(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -239,3 +240,109 @@ def test_recovery_cache_is_bounded():
         assert code.erasure_decode([(p, cw[p]) for p in positions]) == cw
         assert len(code._recovery) <= mds._RECOVERY_CACHE_SIZE
     assert set(code._recovery) == set(patterns[-mds._RECOVERY_CACHE_SIZE:])
+
+
+# (q, k, slot bits): every slot width over both field kinds, except 64-bit
+# slots, which only prime fields need (GF(2^16) products fit in 31 bits)
+RANGE_CHECK_CASES = [
+    (5, 3, 8), (16, 3, 8),
+    (101, 1, 16), (256, 3, 16),
+    (257, 20, 32), (65536, 3, 32),
+    (65537, 3, 64), (2**31 - 1, 4, 64),
+]
+
+
+@pytest.mark.parametrize("q,k,bits", RANGE_CHECK_CASES)
+def test_packed_range_check_in_every_slot(q, k, bits):
+    # the lift test alone catches q and q+1 ... 2^(bits-1) - 1; the top-bit
+    # test and packing catch the rest
+    field = make_field(q)
+    assert mds._slot_bits(field, k) == bits
+    assert q <= 1 << (bits - 1)
+    length = mds._PACK_MIN_LEN + 3
+    clean = [tuple((7 * i + 3 * j) % q for j in range(length)) for i in range(k)]
+    coeffs = [[(i + 1) % q for i in range(k)], [q - 1] * k]
+    for value in (q - 1, q, q + 1, 1 << (bits - 1), (1 << bits) - 1, 1 << bits, -1):
+        for slot in (0, length // 2, length - 1):
+            for r in sorted({0, k - 1}):
+                rows = list(clean)
+                rows[r] = rows[r][:slot] + (value,) + rows[r][slot + 1:]
+                if all(0 <= s < q for row in rows for s in row):  # the per-symbol reference
+                    reference = mds._combine_scalar(field, coeffs, list(zip(*rows)))
+                    assert mds._combine_packed(field, coeffs, rows, bits) == reference
+                    assert mds._combine(field, coeffs, rows) == reference
+                else:
+                    with pytest.raises(CorruptionError, match="outside"):
+                        mds._combine_packed(field, coeffs, rows, bits)
+                    with pytest.raises(CorruptionError, match="outside"):
+                        mds._combine(field, coeffs, rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(RANGE_CHECK_CASES), st.data())
+def test_packed_range_check_matches_per_symbol_check(case, data):
+    q, k, bits = case
+    field = make_field(q)
+    length = data.draw(st.integers(mds._PACK_MIN_LEN, 40))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    rows = [tuple(rng.randrange(q) for _ in range(length)) for _ in range(k)]
+    edges = st.sampled_from([q - 1, q, (1 << (bits - 1)) - 1, 1 << (bits - 1), -1])
+    for _ in range(data.draw(st.integers(0, 3))):
+        r = data.draw(st.integers(0, k - 1))
+        slot = data.draw(st.integers(0, length - 1))
+        value = data.draw(edges | st.integers(-(1 << bits), 1 << bits))
+        rows[r] = rows[r][:slot] + (value,) + rows[r][slot + 1:]
+    coeffs = [[1] * k]
+    if all(0 <= s < q for row in rows for s in row):
+        reference = mds._combine_scalar(field, coeffs, list(zip(*rows)))
+        assert mds._combine_packed(field, coeffs, rows, bits) == reference
+    else:
+        with pytest.raises(CorruptionError, match="outside"):
+            mds._combine_packed(field, coeffs, rows, bits)
+
+
+def reference_recovery(code, positions):
+    """G^T A^-1: the whole codeword from the k known positions, A inverted whole."""
+    f, gen, k = code.field, code.generator, code.k
+    a_t = [[gen[r][p] for r in range(k)] for p in positions]
+    rest = [[gen[r][j] for r in range(k)] for j in range(code.n) if j not in positions]
+    return linalg.mat_mul(f, rest, linalg.invert(f, a_t))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 11, 16])
+def test_recovery_matrix_matches_full_inverse_on_every_subset(q):
+    for n in range(1, min(q, 9) + 1):
+        for k in range(1, n + 1):
+            code = SystematicMdsCode(n, k, make_field(q))
+            subsets = list(itertools.combinations(range(n), k))
+            # n = k has one base and nothing to recover
+            assert (n == k) == (code._recovery_matrix(subsets[0]) == [])
+            for positions in subsets:
+                assert code._recovery_matrix(positions) == reference_recovery(code, positions)
+
+
+@pytest.mark.parametrize("q", [257, 65536])
+def test_recovery_matrix_matches_full_inverse_on_30_20(q):
+    code = SystematicMdsCode(30, 20, make_field(q))
+    rng = random.Random(q)
+    patterns = [
+        tuple(range(20)),  # all systematic: the parity columns
+        tuple(range(10, 30)),  # as parity-heavy as [30, 20] allows
+    ] + [tuple(sorted(rng.sample(range(30), 20))) for _ in range(12)]
+    for positions in patterns:
+        assert code._recovery_matrix(positions) == reference_recovery(code, positions)
+    assert code._recovery_matrix(patterns[0]) == [list(c) for c in zip(*code.parity_columns)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(8, 5, 11), (12, 6, 16), (16, 9, 257), (30, 20, 257), (30, 20, 65536)]), st.data())
+def test_erasure_decode_round_trip_long_rows(shape, data):
+    n, k, q = shape
+    code = make_mds(n, k, q)
+    length = data.draw(st.integers(mds._PACK_MIN_LEN, 64))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    msg = [tuple(rng.randrange(q) for _ in range(length)) for _ in range(k)]
+    cw = code.encode(msg)
+    known = data.draw(st.integers(k, n))
+    positions = rng.sample(range(n), known)
+    assert code.erasure_decode([(p, cw[p]) for p in positions]) == cw

@@ -10,10 +10,15 @@ that moves any of these bytes must say why and record new digests.
 import contextlib
 import hashlib
 import io
+import json
+import random
 
+import pytest
 import yaml
 
+from ppir import model, protocol, wire
 from ppir.cli import main
+from ppir.model import InstanceParams
 
 RUNS = {
     "usi-oracle-exact": {
@@ -145,3 +150,84 @@ def test_outputs_match_the_recorded_digests(tmp_path):
     assert set(got) == set(RECORDED)
     for name, want in RECORDED.items():
         assert got[name] == want, name
+
+
+# Long-message rounds reach the packed MDS kernel (msg_len >= 16), which the
+# runs above (msg_len <= 3) never do.  name -> (class sizes, side counts, q,
+# msg_len, scheme, demand); digests recorded at c322fdc.
+LONG_ROUNDS = {
+    "usi-30-20-q257": ((20, 20, 3), (10, 10, 0), 257, 2000, "usi", 1),
+    "usi-30-20-q65536": ((20, 20, 3), (10, 10, 0), 65536, 1000, "usi", 1),
+    "usi-8-5-q256": ((5, 5), (2, 2), 256, 4000, "usi", 1),
+    "musi-30-20-q257": ((20, 20, 3), (10, 10, 0), 257, 2000, "musi", 2),
+    "fsi-13-8-q257": ((3,) * 8, (1, 1, 1, 1, 0, 0, 0, 0), 257, 2000, "fsi", 1),
+}
+LONG_ROUND_COUNT = 3
+
+LONG_RECORDED = {
+    "usi-30-20-q257": (
+        "answers:af791c5d9e906f66d1f06162f0434b6276fb9f94e560c91da29abbfb192be07c",
+        "decoded:dffd4ad0d710ca3fc3d62c2a66c77818bcd37a7ba23dff3df87d087348e10a0b",
+    ),
+    "usi-30-20-q65536": (
+        "answers:e3d37efcd7d0fa080ca413750f77d5e1ebb369189d6928be3cc20fefcb47bc38",
+        "decoded:afa25b4e1f4e1c5614444f99df48fbcbdcfa7275360a3d071b8d0137bd77d99a",
+    ),
+    "usi-8-5-q256": (
+        "answers:aba425d7eb36b77bd5170531050edcf16be555738cee9fcffa331b63191a11b7",
+        "decoded:3878fd4ef94d984ce9d9f10f11bd4d642f5ac3d8803243ea612fa7602263b442",
+    ),
+    "musi-30-20-q257": (
+        "answers:2a1a477c467c204f543b0edd860c90f06146deb360d36edec7a8d71782c8cb33",
+        "decoded:25428b6228961dbc105330969b51e875072cac7c5f51b32169245d83e0644e5a",
+    ),
+    "fsi-13-8-q257": (
+        "answers:7d524983034fa79a06774f8db82bf104a6bfe9d724151bbfd61bbd3431cc3109",
+        "decoded:ebb627a3bd9dd5cbb31cd9325b3e35f2e0205a2a7a6b296c743fd7c9ee8aa069",
+    ),
+}
+
+
+def long_round_digests(name) -> tuple:
+    """sha256 of the canonical answer bytes and of the decoded symbols.
+
+    Each round is served, written to the wire, read back and decoded, as a
+    user would; the digests run over LONG_ROUND_COUNT seeded rounds.
+    """
+    sizes, counts, q, length, scheme, demand = LONG_ROUNDS[name]
+    params = InstanceParams(sizes, counts, msg_len=length, q=q)
+    layout = model.build_layout(params, 41)
+    store = model.random_store(layout, 42)
+    rng = random.Random(43)
+    answers, decoded = hashlib.sha256(), hashlib.sha256()
+    for _ in range(LONG_ROUND_COUNT):
+        side = model.sample_side_info(layout, rng)
+        v = rng.randrange(params.num_classes)
+        if scheme == "fsi":
+            side = model.positional_side_info(layout, side)
+            values = {
+                lab: store.messages[layout.class_members[lab[0]][lab[1]]]
+                for lab in side.label_set
+            }
+            query = protocol.fsi_query(v, side, sizes, rng)
+            answer = protocol.fsi_answer(query, store)
+        else:
+            values = model.held_messages(store, side)
+            query = protocol.usi_query(v, side, demand=demand)
+            answer = protocol.usi_answer(query, store, rng)
+        blob = wire.canonical_bytes(wire.answer_to_json(answer))
+        side_blob = wire.canonical_bytes(wire.side_to_json(side, values))
+        got = wire.answer_from_json(json.loads(blob))
+        got_side, got_values = wire.side_from_json(json.loads(side_blob))
+        if scheme == "fsi":
+            result = protocol.fsi_decode(got, query, got_side, got_values, v)
+        else:
+            result = protocol.decode_answer(got, got_side, got_values, demand=demand)
+        answers.update(blob)
+        decoded.update(json.dumps(result.decoded).encode())
+    return f"answers:{answers.hexdigest()}", f"decoded:{decoded.hexdigest()}"
+
+
+@pytest.mark.parametrize("name", sorted(LONG_ROUNDS))
+def test_long_message_rounds_match_the_recorded_digests(name):
+    assert long_round_digests(name) == LONG_RECORDED[name]

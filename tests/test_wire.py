@@ -159,3 +159,47 @@ def test_answer_rejects_repeated_identifiers():
     doc["payloads"][1]["symbols"][1] = doc["payloads"][1]["symbols"][0]
     with pytest.raises(WireFormatError, match="repeats an identifier"):
         answer_from_json(doc)
+
+
+HOSTILE_SYMBOLS = [True, 0.7, "0"]
+
+
+@pytest.mark.parametrize("symbol", HOSTILE_SYMBOLS)
+def test_answer_symbols_must_be_integers(symbol):
+    # int() would read these as 1, 0 and 0 and the decode would come out wrong
+    _, _, store, side, _ = make_world((5, 5), (1, 1), msg_len=2)
+    doc = answer_to_json(usi_answer(usi_query(0, side), store, 1))
+    assert [p["mode"] for p in doc["payloads"]] == ["uncoded", "uncoded"]
+    for payload in range(2):
+        for row, slot in ((0, 0), (-1, -1)):
+            bad = json.loads(json.dumps(doc))
+            bad["payloads"][payload]["symbols"][row][slot] = symbol
+            with pytest.raises(WireFormatError, match="integer symbols only"):
+                answer_from_json(bad)
+    _, _, store, side, _ = make_world((3, 3), (1, 1), msg_len=2)
+    doc = answer_to_json(usi_answer(usi_query(0, side), store, 1))
+    assert doc["payloads"][0]["mode"] == "parity"
+    doc["payloads"][0]["symbols"][1][0] = symbol
+    with pytest.raises(WireFormatError, match="integer symbols only"):
+        answer_from_json(doc)
+
+
+@pytest.mark.parametrize("symbol", HOSTILE_SYMBOLS)
+def test_side_messages_must_be_integers(symbol):
+    _, _, _, side, values = make_world((3, 3), (1, 1), msg_len=2)
+    doc = side_to_json(side, values)
+    doc["messages"][-1][-1] = symbol
+    with pytest.raises(WireFormatError, match="integer symbols only"):
+        side_from_json(doc)
+
+
+def test_symbol_rows_must_be_lists_of_integers():
+    _, _, store, side, values = make_world((3, 3), (1, 1), msg_len=2)
+    doc = answer_to_json(usi_answer(usi_query(0, side), store, 1))
+    doc["payloads"][0]["symbols"][0] = 7  # a symbol where a row belongs
+    with pytest.raises(WireFormatError):
+        answer_from_json(doc)
+    doc = side_to_json(side, values)
+    doc["messages"][0] = "01"
+    with pytest.raises(WireFormatError, match="integer symbols only"):
+        side_from_json(doc)
