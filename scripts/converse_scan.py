@@ -3,7 +3,9 @@
 
 Scans every class shape with at most --max-messages messages over the given
 fields, prints one line per instance, and exits nonzero on any mismatch.
-The search space grows as (q^f)^l, so keep f small.
+Every witness found also goes through `rank_lower_bound_certificate`; a
+CertificateError counts as a mismatch.  The search space grows as
+(q^f)^l, so keep f small.
 
 Example:
     python3 scripts/converse_scan.py --max-messages 4 --fields 2 3
@@ -14,13 +16,14 @@ import itertools
 import sys
 import time
 
-from ppir.errors import SearchBudgetError
+from ppir.errors import CertificateError, SearchBudgetError
 from ppir.model import InstanceParams
 from ppir.picod import (
     broadcast_lower_bound,
     broadcast_upper_bound,
     instance_from_params,
     min_code_length_bruteforce,
+    rank_lower_bound_certificate,
 )
 
 
@@ -57,7 +60,12 @@ def main():
             elapsed = time.perf_counter() - started
             found = result.min_length if result.found else f">{lower}"
             status = "ok" if result.found and result.min_length == lower else "MISMATCH"
-            if status == "MISMATCH":
+            if result.found:
+                try:
+                    rank_lower_bound_certificate(result.witness, instance)
+                except CertificateError as exc:
+                    status = f"MISMATCH (certificate: {exc})"
+            if status != "ok":
                 mismatches += 1
             print(
                 f"{sizes} {counts} GF({q}): min={found} bound={lower} "

@@ -20,6 +20,7 @@ import sys
 from .errors import (
     ConfigError,
     EnumerationCapError,
+    FieldConstructionError,
     ParameterError,
     PpirError,
     SearchBudgetError,
@@ -44,10 +45,13 @@ def _params_from_args(args):
     from .model import InstanceParams
     from .protocol import auto_field_size
 
-    q = args.q or auto_field_size(args.class_sizes, args.side_counts)
-    return _from_flags(
-        InstanceParams, args.class_sizes, args.side_counts, msg_len=args.msg_len, q=q
-    )
+    q = args.q or _from_flags(auto_field_size, args.class_sizes, args.side_counts)
+    try:
+        return _from_flags(
+            InstanceParams, args.class_sizes, args.side_counts, msg_len=args.msg_len, q=q
+        )
+    except FieldConstructionError as exc:
+        raise ConfigError(f"--q: {exc}") from exc
 
 
 def _emit(doc: dict) -> None:

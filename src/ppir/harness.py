@@ -27,8 +27,10 @@ import yaml
 from .errors import (
     ConfigError,
     EnumerationCapError,
+    FieldConstructionError,
     ParameterError,
     SearchBudgetError,
+    UnsupportedParametersError,
     WireFormatError,
 )
 from .fields import next_prime
@@ -173,24 +175,13 @@ class ExperimentConfig:
     include_records: bool
 
 
-def _short_class(class_sizes, side_counts, demand: int):
-    """Index of the first class with fewer than `demand` unheld messages, or None.
-
-    The rule holds for fsi too: its retrieval ignores the demand, but the
-    oracle section sends a usi answer at that demand.
-    """
-    for i, (mu, k) in enumerate(zip(class_sizes, side_counts)):
-        if mu - k < demand:
-            return i
-    return None
-
-
 def grid_instances(grid: dict, msg_lens, demand: int, scheme: str = "usi"):
     """Deduplicated grid: sorted (size, count) multisets per class count.
 
-    grid holds `num_classes` (a list) and `max_class_size`; instances with a
-    class short of `demand` new messages are left out (see `_short_class`),
-    and q fits `scheme`.
+    grid holds `num_classes` (a list) and `max_class_size`; q fits `scheme`.
+    Instances that `longest_code_length` refuses, with a class short of
+    `demand` new messages, are left out, for fsi too: the oracle section
+    sends a usi answer at that demand.
     """
     out = []
     sizes = range(1, grid["max_class_size"] + 1)
@@ -199,9 +190,10 @@ def grid_instances(grid: dict, msg_lens, demand: int, scheme: str = "usi"):
         for combo in itertools.combinations_with_replacement(pairs, gamma):
             class_sizes = tuple(mu for mu, _ in combo)
             side_counts = tuple(k for _, k in combo)
-            if _short_class(class_sizes, side_counts, demand) is not None:
+            try:
+                q = auto_field_size(class_sizes, side_counts, demand, scheme)
+            except UnsupportedParametersError:
                 continue
-            q = auto_field_size(class_sizes, side_counts, demand, scheme)
             for msg_len in msg_lens:
                 out.append(
                     InstanceParams(class_sizes, side_counts, msg_len=msg_len, q=q)
@@ -224,25 +216,20 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     for n, item in enumerate(doc.get("instances", [])):
         class_sizes = tuple(item["class_sizes"])
         side_counts = tuple(item["side_counts"])
-        need = longest_code_length(class_sizes, side_counts, demand, scheme)
-        q = item.get("q") or next_prime(need)
         try:
+            need = longest_code_length(class_sizes, side_counts, demand, scheme)
+            q = item.get("q") or next_prime(need)
             params = InstanceParams(
                 class_sizes, side_counts, msg_len=item.get("msg_len", msg_len), q=q
             )
+        except FieldConstructionError as exc:
+            raise ConfigError(f"instances[{n}].q: {exc}") from exc
         except ParameterError as exc:
             raise ConfigError(f"instances[{n}]: {exc}") from exc
         if q < need:
             raise ConfigError(
                 f"instances[{n}].q: q={q} is below {need}, the longest code "
                 f"the {scheme} scheme needs for this instance"
-            )
-        i = _short_class(class_sizes, side_counts, demand)
-        if i is not None:
-            mu, k = class_sizes[i], side_counts[i]
-            raise ConfigError(
-                f"instances[{n}]: class {i} of size {mu} with {k} held leaves "
-                f"{mu - k} new messages, below demand {demand}"
             )
         instances.append(params)
     if "grid" in doc:

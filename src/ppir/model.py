@@ -31,6 +31,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .errors import EnumerationCapError, ParameterError
+from .fields import make_field
 from .rates import check_instance
 
 DEFAULT_IDENTIFIER_RANGE = (1, 2**32)
@@ -81,7 +82,8 @@ class InstanceParams:
     side_counts: k_i with 0 <= k_i <= mu_i - 1, so every class keeps at
         least one message the user does not hold.
     msg_len:     symbols per message.
-    q:           field order for the stored symbols.
+    q:           field order for the stored symbols, prime or a power of
+        two (`fields.make_field` decides).
     """
 
     class_sizes: tuple[int, ...]
@@ -95,8 +97,7 @@ class InstanceParams:
         check_instance(self.class_sizes, self.side_counts)
         if self.msg_len < 1:
             raise ParameterError("msg_len must be positive")
-        if self.q < 2:
-            raise ParameterError("q must be at least 2")
+        make_field(self.q)  # FieldConstructionError unless q is a field order
 
     @property
     def num_classes(self) -> int:

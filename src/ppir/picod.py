@@ -17,9 +17,11 @@ least the lower bound.  The certificate walks a sequence of side-information
 set types whose overlap with the already-collected decoded indices grows,
 collecting one provably-decodable fresh index per step; each step and the
 final rank claim are verified by independent rank checks, so a walker bug
-cannot produce an unsound certificate.  Below full demand a matrix may
-serve classes other than those with the smallest floors, so the served
-classes are tried subset by subset, smallest floor sum first.
+cannot produce an unsound certificate.  A stuck walk is a CertificateError;
+none got stuck on the search witnesses of any shape with f <= 6 over GF(2),
+f <= 5 over GF(3) or f <= 4 over GF(4), at any demand.  Below full demand a
+matrix may serve classes other than those with the smallest floors, so the
+served classes are tried subset by subset, smallest floor sum first.
 
 One span kernel serves every decodability question.  `_insert` adds one
 vector to a reduced echelon basis of (pivot, row) pairs, and u_j lies in the
@@ -213,17 +215,15 @@ class PicodInstance:
         ]
 
 
-def instance_from_params(params, demand_classes=None, class_members=None) -> PicodInstance:
-    """Instance with consecutive class blocks unless members are given."""
-    if class_members is None:
-        members = []
-        at = 0
-        for mu in params.class_sizes:
-            members.append(tuple(range(at, at + mu)))
-            at += mu
-        class_members = tuple(members)
+def instance_from_params(params, demand_classes=None) -> PicodInstance:
+    """Instance with consecutive class blocks; demand_classes defaults to every class."""
+    members = []
+    at = 0
+    for mu in params.class_sizes:
+        members.append(tuple(range(at, at + mu)))
+        at += mu
     t = params.num_classes if demand_classes is None else demand_classes
-    return PicodInstance(class_members, params.side_counts, t, params.q)
+    return PicodInstance(tuple(members), params.side_counts, t, params.q)
 
 
 def generic_min_field_size(num_messages: int) -> int:
@@ -772,10 +772,9 @@ class CertificateReport:
     trace: tuple
     collected: tuple[int, ...]
     matrix_rank: int
-    strategy: str
     ok: bool
     failure: str | None = None
-    extra: dict = field(default_factory=dict)
+    strategy = "set-types"  # the walk is the only construction; kept in to_json()
 
     def to_json(self) -> dict:
         return {
@@ -949,11 +948,12 @@ def rank_lower_bound_certificate(
     Requires the matrix to satisfy every client.  The served classes are
     tried as subsets of demand_classes classes, drawn from those not fully
     held and ordered by floor sum and then subset, each through the same
-    walk, fallback search and rank checks; the first is the demand_classes
-    classes with the smallest floors, the only subset when every class not
-    fully held is demanded.  Raises the first attempt's CertificateError
-    (with the partial report attached) if all fail; that would falsify the
-    lower bound and is treated as an implementation bug signal.
+    walk and rank checks; the first is the demand_classes classes with the
+    smallest floors, the only subset when every class not fully held is
+    demanded.  Raises the first attempt's CertificateError (with the
+    partial report attached) if all fail: the walk got stuck, or a rank
+    check would falsify the lower bound.  Either is treated as an
+    implementation bug signal.
     """
     walker = _Walker(matrix, instance)
     floors, order = _ordered_classes(instance)
@@ -982,7 +982,7 @@ def _certify(matrix, walker, floors, chosen) -> CertificateReport:
     leftovers = {j: inst.class_sizes[j] - (inst.side_counts[j] + 1) for j in tilde}
     pools = walker.decoded_pools(chosen)
 
-    def report(collected, trace, strategy, ok, failure=None, sacrificed=None):
+    def report(collected, trace, ok, failure=None, sacrificed=None):
         return CertificateReport(
             demand_classes=inst.demand_classes,
             chosen_classes=chosen,
@@ -997,7 +997,6 @@ def _certify(matrix, walker, floors, chosen) -> CertificateReport:
             trace=tuple(trace),
             collected=tuple(collected),
             matrix_rank=matrix.rank(),
-            strategy=strategy,
             ok=ok,
             failure=failure,
         )
@@ -1006,7 +1005,7 @@ def _certify(matrix, walker, floors, chosen) -> CertificateReport:
     if total_decoded < decoded_floor:
         raise CertificateError(
             f"decoded set has {total_decoded} indices, below the floor {decoded_floor}",
-            report=report((), (), "set-types", False, "decoded set too small"),
+            report=report((), (), False, "decoded set too small"),
         )
 
     quotas = {j: floors[j] for j in chosen}
@@ -1017,43 +1016,25 @@ def _certify(matrix, walker, floors, chosen) -> CertificateReport:
             sacrificed[j] = tuple(sorted(pools[j], reverse=True)[:extra])
 
     collected, trace = walker.run(chosen, quotas, pools, sacrificed)
-    strategy = "set-types"
     if collected is None:
-        # the walk got stuck; fall back to a direct search over quota-sized
-        # pool subsets, still validated by the same rank checks
-        strategy = "search"
-        combos = 1
-        for j in chosen:
-            combos *= math.comb(len(pools[j]), quotas[j])
-        if combos <= 20_000:
-            per_class = [
-                list(itertools.combinations(pools[j], quotas[j])) for j in chosen
-            ]
-            for pick in itertools.product(*per_class):
-                cand = [m for group in pick for m in group]
-                if _verify_collected(matrix, cand):
-                    collected = cand
-                    break
-        if collected is None:
-            raise CertificateError(
-                "could not assemble a certified index set",
-                report=report((), trace, strategy, False, "walk and search failed"),
-            )
-
+        raise CertificateError(
+            "could not assemble a certified index set",
+            report=report((), trace, False, "walk failed"),
+        )
     if len(set(collected)) != len(collected) or len(collected) < rank_floor:
         raise CertificateError(
             "collected indices are not distinct or fall short of the floor",
-            report=report(collected, trace, strategy, False, "short collection"),
+            report=report(collected, trace, False, "short collection"),
         )
     if not _verify_collected(matrix, collected):
         raise CertificateError(
             "rank verification failed; lower bound would be falsified",
-            report=report(collected, trace, strategy, False, "rank check failed"),
+            report=report(collected, trace, False, "rank check failed"),
         )
-    out = report(collected, trace, strategy, True, sacrificed=sacrificed)
+    out = report(collected, trace, True, sacrificed=sacrificed)
     if len(out.collected) > out.matrix_rank:
         raise CertificateError(
             "collected more independent units than the matrix rank",
-            report=report(collected, trace, strategy, False, "soundness breach"),
+            report=report(collected, trace, False, "soundness breach"),
         )
     return out

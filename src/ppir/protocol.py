@@ -43,7 +43,7 @@ from .errors import (
 from .fields import next_prime
 from .mds import make_mds
 from .model import MessageStore, SideInfo, as_rng, sample_positions
-from .rates import class_floor, class_plan, expected_download_rows  # noqa: F401 (re-exported)
+from .rates import check_instance, class_plan, expected_download_rows  # noqa: F401 (re-exported)
 
 
 class Query(
@@ -121,17 +121,24 @@ class RetrievalResult(namedtuple("RetrievalResult", ("decoded", "new_from_class"
 
 
 def longest_code_length(class_sizes, side_counts, demand: int = 1, scheme: str = "usi") -> int:
-    """Longest parity-branch code length, at least 2; an MDS code needs q >= it.
+    """Longest code the scheme needs, at least 2; an MDS code needs q >= it.
 
-    For fsi it also covers the joint code, of length 2*Gamma - eta + 1 with
-    eta = max(#classes with k_i > 0, 1).
+    A parity class (`rates.class_plan`) needs a code of mu + rows; for fsi
+    it also covers the joint code, of length 2*Gamma - eta + 1 with
+    eta = max(#classes with k_i > 0, 1).  Raises check_instance's
+    ParameterError for a bad shape, then class_plan's
+    UnsupportedParametersError, naming the class, for one short of `demand`.
     """
+    check_instance(class_sizes, side_counts)
     need = 2
-    for mu, k in zip(class_sizes, side_counts):
-        # the parity branch; unlike class_plan this never raises, since
-        # config_from_dict asks before it reports a class short of demand
-        if class_floor(mu, k, demand) == mu - k:
-            need = max(need, 2 * mu - k)
+    for i, (mu, k) in enumerate(zip(class_sizes, side_counts)):
+        try:
+            mode, rows = class_plan(mu, k, demand)
+        except UnsupportedParametersError:
+            left = f"class {i} of size {mu} with {k} held leaves {mu - k} new messages"
+            raise UnsupportedParametersError(f"{left}, below demand {demand}") from None
+        if mode == "parity":
+            need = max(need, mu + rows)
     if scheme == "fsi":
         eta = max(sum(1 for k in side_counts if k > 0), 1)
         need = max(need, 2 * len(class_sizes) - eta + 1)
@@ -196,18 +203,9 @@ def usi_answer(query: Query, store: MessageStore, seed=None, selections=None) ->
                 )
             )
         else:
-            n = 2 * mu - k
-            if n > params.q:
-                raise UnsupportedParametersError(
-                    f"class {i} needs a [{n}, {mu}] code but q={params.q}"
-                )
-            code = make_mds(n, mu, params.q)
-            class_rows = [messages[m] for m in layout.class_members[i]]
-            payloads.append(
-                ClassPayload(
-                    i, "parity", None, layout.labels[i], n, tuple(code.parity_rows(class_rows))
-                )
-            )
+            code = make_mds(mu + rows, mu, params.q)  # refuses a code longer than q
+            parity = tuple(code.parity_rows([messages[m] for m in layout.class_members[i]]))
+            payloads.append(ClassPayload(i, "parity", None, layout.labels[i], code.n, parity))
     return Answer(q=params.q, msg_len=params.msg_len, payloads=tuple(payloads))
 
 
@@ -272,15 +270,11 @@ def decode_answer(
                 known.append((pos_of[lab[1]], side_values[lab]))
             held_pos = {p for p, _ in known}
             known.extend(zip(range(mu, n), payload.symbols))
-            if len(known) < mu:
-                raise ProtocolViolationError(
-                    f"class {i} decode is underdetermined ({len(known)} of {mu} rows)"
-                )
             code = code_factory(n, mu, answer.q)
             try:
                 full = code.erasure_decode(known)
             except InsufficientInformationError as exc:
-                raise ProtocolViolationError(str(exc)) from exc
+                raise ProtocolViolationError(f"class {i} decode: {exc}") from exc
             new = [
                 ((i, idents[p]), full[p])
                 for p in range(mu)
@@ -378,12 +372,8 @@ def fsi_answer(query: Query, store: MessageStore) -> Answer:
     num_classes = params.num_classes
     if len(query.picks) != num_classes:
         raise ParameterError("fsi query must pick one position per class")
-    n = 2 * num_classes - query.known_count
-    if n > params.q:
-        raise UnsupportedParametersError(
-            f"joint code needs length {n} but q={params.q}"
-        )
-    code = make_mds(n, num_classes, params.q)
+    # refuses a code longer than q
+    code = make_mds(2 * num_classes - query.known_count, num_classes, params.q)
     rows = [
         store.messages[layout.class_members[i][p]]
         for i, p in enumerate(query.picks)
@@ -395,7 +385,7 @@ def fsi_answer(query: Query, store: MessageStore) -> Answer:
             JointPayload(
                 picks=query.picks,
                 known_count=query.known_count,
-                code_length=n,
+                code_length=code.n,
                 symbols=tuple(code.parity_rows(rows)),
             ),
         ),
@@ -431,15 +421,11 @@ def fsi_decode(
     known.extend(
         (num_classes + r, row) for r, row in enumerate(payload.symbols)
     )
-    if len(known) < num_classes:
-        raise ProtocolViolationError(
-            f"fsi decode is underdetermined ({len(known)} of {num_classes} rows)"
-        )
     code = code_factory(payload.code_length, num_classes, answer.q)
     try:
         full = code.erasure_decode(known)
     except InsufficientInformationError as exc:
-        raise ProtocolViolationError(str(exc)) from exc
+        raise ProtocolViolationError(f"fsi decode: {exc}") from exc
     decoded = []
     counts = [0] * num_classes
     for i, p in enumerate(payload.picks):

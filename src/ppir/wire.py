@@ -3,8 +3,11 @@
 Every document carries a "format" tag with a version suffix; readers reject
 unknown tags.  Canonical bytes are json.dumps with sorted keys and compact
 separators, so byte-identity comparisons (privacy audits, replay) are
-deterministic.  Symbols serialize as plain integers in [0, q); readers take
-a symbol row only when every element is a JSON integer.
+deterministic.  Symbols serialize as plain integers in [0, q).  Readers
+take every integer field, header or symbol, only as a JSON integer: true,
+0.7 and "0" are refused rather than read as 1, 0 and 0.  An answer's
+uncoded rows are range-checked against its q here; parity rows are checked
+when they are decoded (`mds._combine`).
 """
 
 from __future__ import annotations
@@ -28,19 +31,27 @@ def canonical_bytes(doc: dict) -> bytes:
 _INT_ONLY = {int}
 
 
-def _symbol_rows(rows, what):
-    """Rows of symbols as tuples; a row must hold only JSON integers.
+def _int(value, what):
+    """value when it is a JSON integer, else WireFormatError."""
+    if type(value) is not int:
+        raise WireFormatError(f"{what} must be an integer, got {value!r}")
+    return value
 
-    The element types are checked in C, once per row, so a row costs no
-    Python call per symbol.  true, 0.7 and "0" are refused rather than read
-    as 1, 0 and 0.
+
+def _ints(values, what, items="values"):
+    """A list of JSON integers as a tuple.
+
+    The element types are checked in C, once per list, so a long symbol row
+    costs no Python call per symbol.
     """
-    out = []
-    for row in rows:
-        if not set(map(type, row)) <= _INT_ONLY:
-            raise WireFormatError(f"{what} must hold integer symbols only")
-        out.append(tuple(row))
-    return out
+    if not set(map(type, values)) <= _INT_ONLY:
+        raise WireFormatError(f"{what} must hold integer {items} only")
+    return tuple(values)
+
+
+def _labels(pairs):
+    """Label pairs (class, identifier), each two JSON integers, as tuples."""
+    return tuple([(i, a) for i, a in (_ints(pair, "labels") for pair in pairs)])
 
 
 def _expect(doc, fmt):
@@ -73,14 +84,14 @@ def query_from_json(doc: dict) -> Query:
         if scheme in ("usi", "musi"):
             return Query(
                 scheme=scheme,
-                side_counts=tuple(int(k) for k in doc["side_counts"]),
-                demand=int(doc["demand"]),
+                side_counts=_ints(doc["side_counts"], "side_counts"),
+                demand=_int(doc["demand"], "demand"),
             )
         if scheme == "fsi":
             return Query(
                 scheme="fsi",
-                picks=tuple(int(p) for p in doc["picks"]),
-                known_count=int(doc["known_count"]),
+                picks=_ints(doc["picks"], "picks"),
+                known_count=_int(doc["known_count"], "known_count"),
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise WireFormatError(f"malformed query document: {exc}") from exc
@@ -114,30 +125,30 @@ def _payload_to_json(payload) -> dict:
 def _payload_from_json(doc: dict):
     try:
         mode = doc["mode"]
-        symbols = tuple(_symbol_rows(doc["symbols"], "payload symbol rows"))
+        symbols = tuple([_ints(row, "payload symbol rows", "symbols") for row in doc["symbols"]])
         if mode == "uncoded":
             return ClassPayload(
-                class_id=int(doc["class_id"]),
+                class_id=_int(doc["class_id"], "class_id"),
                 mode="uncoded",
-                labels=tuple((int(i), int(a)) for i, a in doc["labels"]),
+                labels=_labels(doc["labels"]),
                 identifier_order=None,
                 code_length=None,
                 symbols=symbols,
             )
         if mode == "parity":
             return ClassPayload(
-                class_id=int(doc["class_id"]),
+                class_id=_int(doc["class_id"], "class_id"),
                 mode="parity",
                 labels=None,
-                identifier_order=tuple(int(a) for a in doc["identifier_order"]),
-                code_length=int(doc["code_length"]),
+                identifier_order=_ints(doc["identifier_order"], "identifier_order"),
+                code_length=_int(doc["code_length"], "code_length"),
                 symbols=symbols,
             )
         if mode == "joint-parity":
             return JointPayload(
-                picks=tuple(int(p) for p in doc["picks"]),
-                known_count=int(doc["known_count"]),
-                code_length=int(doc["code_length"]),
+                picks=_ints(doc["picks"], "picks"),
+                known_count=_int(doc["known_count"], "known_count"),
+                code_length=_int(doc["code_length"], "code_length"),
                 symbols=symbols,
             )
     except (KeyError, TypeError, ValueError) as exc:
@@ -156,12 +167,16 @@ def answer_to_json(answer: Answer) -> dict:
 
 
 def answer_from_json(doc: dict) -> Answer:
-    """Parse an answer; rows must match the msg_len header and identifiers not repeat."""
+    """Parse an answer; rows must match the msg_len header and identifiers not repeat.
+
+    Uncoded symbols must lie in [0, q): nothing decodes them, so nothing
+    else would check them.
+    """
     _expect(doc, ANSWER_FORMAT)
     try:
         answer = Answer(
-            q=int(doc["q"]),
-            msg_len=int(doc["msg_len"]),
+            q=_int(doc["q"], "q"),
+            msg_len=_int(doc["msg_len"], "msg_len"),
             payloads=tuple(_payload_from_json(p) for p in doc["payloads"]),
             extras=tuple(tuple(e) if isinstance(e, list) else e for e in doc.get("extras", [])),
         )
@@ -178,6 +193,13 @@ def answer_from_json(doc: dict) -> Answer:
             names = payload.labels if payload.mode == "uncoded" else payload.identifier_order
             if len(set(names)) != len(names):
                 raise WireFormatError(f"payload {n} (class {payload.class_id}) repeats an identifier")
+            if payload.mode == "uncoded" and any(
+                min(row) < 0 or max(row) >= answer.q for row in payload.symbols if row
+            ):
+                raise WireFormatError(
+                    f"payload {n} (class {payload.class_id}) has an uncoded symbol "
+                    f"outside [0, {answer.q})"
+                )
     return answer
 
 
@@ -197,9 +219,9 @@ def side_to_json(side: SideInfo, side_values) -> dict:
 def side_from_json(doc: dict):
     _expect(doc, SIDE_FORMAT)
     try:
-        labels = tuple((int(i), int(a)) for i, a in doc["labels"])
-        messages = _symbol_rows(doc["messages"], "side-information messages")
-        counts = tuple(int(k) for k in doc["per_class_counts"])
+        labels = _labels(doc["labels"])
+        messages = [_ints(row, "side-information messages", "symbols") for row in doc["messages"]]
+        counts = _ints(doc["per_class_counts"], "per_class_counts")
     except (KeyError, TypeError, ValueError) as exc:
         raise WireFormatError(f"malformed side-information document: {exc}") from exc
     if len(messages) != len(labels):

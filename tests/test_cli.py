@@ -406,6 +406,80 @@ def test_replay_command_rejects_non_integer_symbols(tmp_path, capsys, document, 
     assert "integer symbols only" in err and "Traceback" not in err
 
 
+def _replay_with(tmp_path, capsys, mutate, class_sizes=(3, 3), side_counts=(1, 1), q=None):
+    """Run replay on a seeded usi round whose answer document mutate() has changed."""
+    from conftest import make_world
+    from ppir.protocol import usi_answer, usi_query
+    from ppir.wire import answer_to_json, query_to_json, side_to_json
+
+    params, layout, store, side, values = make_world(class_sizes, side_counts, seed=2, q=q)
+    query = usi_query(0, side)
+    doc = answer_to_json(usi_answer(query, store, 3))
+    mutate(doc)
+    (tmp_path / "q.json").write_text(json.dumps(query_to_json(query)))
+    (tmp_path / "a.json").write_text(json.dumps(doc))
+    (tmp_path / "s.json").write_text(json.dumps(side_to_json(side, values)))
+    return run_cli(
+        capsys,
+        "replay",
+        "--query", str(tmp_path / "q.json"),
+        "--answer", str(tmp_path / "a.json"),
+        "--side", str(tmp_path / "s.json"),
+    )
+
+
+@pytest.mark.parametrize("field", ["class_id", "code_length", "q", "msg_len"])
+def test_replay_command_rejects_non_integer_headers(tmp_path, capsys, field):
+    # int() read true and 0.7 as 1 and 0; two such class_ids decoded with exit 0
+    def mutate(doc):
+        if field in ("q", "msg_len"):
+            doc[field] = 0.7 if field == "msg_len" else True
+        else:
+            for payload, value in zip(doc["payloads"], (True, 0.7)):
+                payload[field] = value
+
+    code, out, err = _replay_with(tmp_path, capsys, mutate)
+    assert code == 2 and out == ""
+    assert f"{field} must be an integer" in err and "Traceback" not in err
+
+
+def test_replay_command_rejects_uncoded_symbols_outside_the_field(tmp_path, capsys):
+    # both classes of (5, 5)/(1, 1) go uncoded; 999 over GF(2) used to print as a symbol
+    def mutate(doc):
+        assert doc["q"] == 2 and doc["payloads"][1]["mode"] == "uncoded"
+        doc["payloads"][1]["symbols"][0][0] = 999
+
+    code, out, err = _replay_with(tmp_path, capsys, mutate, (5, 5), (1, 1), q=2)
+    assert code == 2 and out == ""
+    assert "uncoded symbol outside [0, 2)" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("audit", "--class-sizes", "3,3", "--side-counts", "1,1", "--q", "6"),
+        ("oracle", "--class-sizes", "2,2", "--side-counts", "1,1", "--q", "6"),
+        ("oracle", "--class-sizes", "2,2", "--side-counts", "1,1", "--q", "9"),
+    ],
+)
+def test_flag_q_that_is_no_field_order_is_a_config_error(capsys, argv):
+    # used to print "error: q=6 is neither prime nor a power of two" with exit 1
+    code, out, err = run_cli(capsys, *argv)
+    q = argv[-1]
+    assert code == 2 and out == ""
+    assert err == f"error: --q: q={q} is neither prime nor a power of two\n"
+
+
+def test_run_command_q_that_is_no_field_order_is_config_error(tmp_path, capsys):
+    config = tmp_path / "q6.yaml"
+    config.write_text(
+        "trials: 3\ninstances:\n  - class_sizes: [3, 3]\n    side_counts: [1, 1]\n    q: 6\n"
+    )
+    code, out, err = run_cli(capsys, "run", str(config))
+    assert code == 2 and out == ""
+    assert err == "error: instances[0].q: q=6 is neither prime nor a power of two\n"
+
+
 def test_run_command_fsi_default_field_size(tmp_path, capsys):
     # q used to default to 3, too small for the [5, 3] joint code
     config = tmp_path / "fsi.yaml"

@@ -169,6 +169,23 @@ def test_config_rejects_demand_above_unheld_count():
         assert config_from_dict({**doc, "scheme": scheme, "demand": 1}).demand == 1
 
 
+def test_config_q_must_be_a_field_order():
+    # q=6 passed the config checks and stopped the run with exit 1
+    for q in (6, 9, 12):
+        doc = _with(("instances", 0), {"class_sizes": [3, 3], "side_counts": [1, 1], "q": q})
+        with pytest.raises(ConfigError, match=rf"^instances\[0\]\.q: q={q} is neither prime"):
+            config_from_dict(doc)
+    doc = _with(("instances", 0), {"class_sizes": [3, 3], "side_counts": [1, 1], "q": 8})
+    assert config_from_dict(doc).instances[0].q == 8
+
+
+def test_config_reports_shape_errors_before_the_demand_rule():
+    # zip would pair off the first three classes and call class 2 short of demand 2
+    doc = _with(("instances", 0), {"class_sizes": [2, 2, 2], "side_counts": [0, 0, 1, 0]})
+    with pytest.raises(ConfigError, match="side_counts must have one entry per class"):
+        config_from_dict({**doc, "demand": 2})
+
+
 def test_explicit_and_grid_instances_share_the_demand_rule():
     # the grid leaves out exactly the instances an explicit list rejects
     grid = {"num_classes": [2], "max_class_size": 3}

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ppir.errors import EnumerationCapError, ParameterError
+from ppir.errors import EnumerationCapError, FieldConstructionError, ParameterError
 from ppir.model import (
     DEFAULT_IDENTIFIER_RANGE,
     InstanceParams,
@@ -34,6 +34,15 @@ def test_params_validation():
         InstanceParams((3, 0), (1, 0))  # empty class
     with pytest.raises(ParameterError):
         InstanceParams((3, 3), (-1, 0))
+
+
+def test_params_q_must_be_a_field_order():
+    # fields.make_field decides which orders exist; q=6 used to load and fail mid-run
+    for q in (1, 6, 9, 2**17):
+        with pytest.raises(FieldConstructionError):
+            InstanceParams((3, 3), (1, 1), q=q)
+    for q in (2, 4, 5, 2**16, 65537):
+        assert InstanceParams((3, 3), (1, 1), q=q).q == q
 
 
 def test_params_derived_quantities():

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_world
-from ppir.errors import EnumerationCapError, ParameterError, SearchBudgetError
+from ppir.errors import (
+    CertificateError,
+    EnumerationCapError,
+    ParameterError,
+    SearchBudgetError,
+)
 from ppir.fields import make_field
 from ppir.harness import grid_instances
 from ppir import picod
@@ -664,6 +669,22 @@ def test_certificate_scheme_answer_case1():
     assert cert.strategy == "set-types"
     # set-type count matches the growing-overlap construction
     assert len(cert.trace) == cert.decoded_floor - instance.demand_classes + 1
+
+
+def test_a_stuck_walk_is_a_certificate_error(monkeypatch):
+    # the walk is the only construction: no subset search runs behind it
+    params, layout, store, side, _ = make_world((3, 3), (1, 1), seed=6)
+    matrix = answer_to_encoding_matrix(usi_answer(usi_query(0, side), store, 7), layout)
+    instance = PicodInstance(layout.class_members, (1, 1), 2, params.q)
+    monkeypatch.setattr(picod._Walker, "run", lambda self, *args: (None, []))
+    monkeypatch.setattr(
+        picod, "_verify_collected", lambda *args: pytest.fail("a stuck walk ran a rank check")
+    )
+    with pytest.raises(CertificateError, match="could not assemble") as err:
+        rank_lower_bound_certificate(matrix, instance)
+    report = err.value.report
+    assert not report.ok and report.failure == "walk failed"
+    assert report.to_json()["strategy"] == "set-types"
 
 
 def test_certificate_scheme_answer_case2():

@@ -14,6 +14,7 @@ from ppir.errors import (
 )
 from ppir.model import (
     InstanceParams,
+    SideInfo,
     build_layout,
     held_messages,
     positional_side_info,
@@ -177,6 +178,28 @@ def test_decode_truncated_parity_payload():
     answer = usi_answer(usi_query(0, side), store, 7)
     with pytest.raises(ProtocolViolationError):
         decode_answer(Answer(answer.q, answer.msg_len, answer.payloads[:-1]), side, values)
+
+
+def test_decode_below_code_dimension_names_the_class():
+    # the erasure decoder decides sufficiency; a parity class of (3, 3)/(1, 1)
+    # needs its held message beside the two parity rows
+    params, _, store, side, values = make_world((3, 3), (1, 1))
+    answer = usi_answer(usi_query(0, side), store, 7)
+    for i in range(2):
+        kept = tuple(lab for lab in side.label_set if lab[0] != i)
+        lacking = SideInfo(side.per_class_counts, kept)
+        with pytest.raises(ProtocolViolationError, match=rf"class {i} decode: need 3 known"):
+            decode_answer(answer, lacking, values)
+
+
+def test_fsi_decode_below_code_dimension_is_a_violation():
+    params, layout, store, pos_side, values = _fsi_world((2, 2, 2), (0, 0, 0))
+    query = Query(scheme="fsi", picks=(0, 0, 0), known_count=0)
+    answer = fsi_answer(query, store)
+    joint = answer.payloads[0]
+    short = Answer(answer.q, answer.msg_len, (joint._replace(symbols=joint.symbols[:2]),))
+    with pytest.raises(ProtocolViolationError, match="fsi decode: need 3 known positions, got 2"):
+        fsi_decode(short, query, pos_side, values, 0)
 
 
 def test_decode_rejects_parity_row_count_off_header():

@@ -203,3 +203,92 @@ def test_symbol_rows_must_be_lists_of_integers():
     doc["messages"][0] = "01"
     with pytest.raises(WireFormatError, match="integer symbols only"):
         side_from_json(doc)
+
+
+def _with(doc, path, value):
+    """A copy of doc with the item at path (keys and indices) set to value."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _usi_and_fsi_answers():
+    # (5, 1) sends two messages uncoded, (3, 1) its parity rows
+    _, _, store, side, _ = make_world((5, 3), (1, 1))
+    usi = answer_to_json(usi_answer(usi_query(0, side), store, 1))
+    assert [p["mode"] for p in usi["payloads"]] == ["uncoded", "parity"]
+    params, layout, store, side, _ = make_world((3, 3), (1, 0), q=5)
+    query = fsi_query(1, positional_side_info(layout, side), params.class_sizes, 2)
+    return usi, answer_to_json(fsi_answer(query, store))
+
+
+@pytest.mark.parametrize("value", HOSTILE_SYMBOLS)
+def test_answer_header_integers_must_be_integers(value):
+    # int() read these as 1, 0 and 0: an answer whose two class_ids were true
+    # and 0.7 decoded as classes 1 and 0 with no error
+    usi, fsi = _usi_and_fsi_answers()
+    cases = [(usi, path) for path in (
+        ("q",), ("msg_len",),
+        ("payloads", 0, "class_id"), ("payloads", 0, "labels", 0, 0),
+        ("payloads", 0, "labels", 1, 1),
+        ("payloads", 1, "class_id"), ("payloads", 1, "identifier_order", 0),
+        ("payloads", 1, "code_length"),
+    )] + [(fsi, path) for path in (
+        ("payloads", 0, "picks", 0), ("payloads", 0, "known_count"),
+        ("payloads", 0, "code_length"),
+    )]
+    for doc, path in cases:
+        with pytest.raises(WireFormatError, match="integer"):
+            answer_from_json(_with(doc, path, value))
+    swapped = _with(_with(usi, ("payloads", 0, "class_id"), True), ("payloads", 1, "class_id"), 0.7)
+    with pytest.raises(WireFormatError, match="class_id must be an integer, got True"):
+        answer_from_json(swapped)
+
+
+@pytest.mark.parametrize("value", HOSTILE_SYMBOLS)
+def test_side_header_integers_must_be_integers(value):
+    doc = _side_doc()
+    for path in (("labels", 0, 0), ("labels", 1, 1), ("per_class_counts", 0)):
+        with pytest.raises(WireFormatError, match="integer values only"):
+            side_from_json(_with(doc, path, value))
+
+
+@pytest.mark.parametrize("value", HOSTILE_SYMBOLS)
+def test_query_fields_must_be_integers(value):
+    _, layout, _, side, _ = make_world((3, 3), (1, 0), q=5)
+    usi = query_to_json(usi_query(0, side))
+    fsi = query_to_json(fsi_query(1, positional_side_info(layout, side), (3, 3), 2))
+    for doc, path in (
+        (usi, ("side_counts", 0)), (usi, ("demand",)),
+        (fsi, ("picks", 0)), (fsi, ("known_count",)),
+    ):
+        with pytest.raises(WireFormatError, match="integer"):
+            query_from_json(_with(doc, path, value))
+
+
+@pytest.mark.parametrize("symbol", [999, 2, -1])
+def test_uncoded_symbols_must_lie_in_the_field(symbol):
+    # nothing decodes an uncoded row, so 999 over GF(2) used to come out as the symbol 999
+    _, _, store, side, _ = make_world((5, 5), (1, 1), msg_len=2, q=2)
+    doc = answer_to_json(usi_answer(usi_query(0, side), store, 1))
+    assert doc["q"] == 2 and [p["mode"] for p in doc["payloads"]] == ["uncoded", "uncoded"]
+    for payload, row, slot in ((0, 0, 0), (1, -1, -1)):
+        bad = _with(doc, ("payloads", payload, "symbols", row, slot), symbol)
+        with pytest.raises(WireFormatError, match=rf"payload {payload} .* outside \[0, 2\)"):
+            answer_from_json(bad)
+    assert answer_from_json(doc) is not None
+
+
+def test_parity_symbols_out_of_range_are_left_to_the_decoder():
+    from ppir.errors import CorruptionError
+    from ppir.protocol import decode_answer
+
+    _, _, store, side, values = make_world((3, 3), (1, 1), q=5)
+    doc = answer_to_json(usi_answer(usi_query(0, side), store, 1))
+    assert doc["payloads"][0]["mode"] == "parity"
+    answer = answer_from_json(_with(doc, ("payloads", 0, "symbols", 0, 0), 999))
+    with pytest.raises(CorruptionError, match=r"outside \[0, 5\)"):
+        decode_answer(answer, side, values)
