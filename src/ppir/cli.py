@@ -45,7 +45,9 @@ def _params_from_args(args):
     from .model import InstanceParams
     from .protocol import auto_field_size
 
-    q = args.q or _from_flags(auto_field_size, args.class_sizes, args.side_counts)
+    q = args.q
+    if q is None:
+        q = _from_flags(auto_field_size, args.class_sizes, args.side_counts)
     try:
         return _from_flags(
             InstanceParams, args.class_sizes, args.side_counts, msg_len=args.msg_len, q=q

@@ -17,11 +17,14 @@ least the lower bound.  The certificate walks a sequence of side-information
 set types whose overlap with the already-collected decoded indices grows,
 collecting one provably-decodable fresh index per step; each step and the
 final rank claim are verified by independent rank checks, so a walker bug
-cannot produce an unsound certificate.  A stuck walk is a CertificateError;
-none got stuck on the search witnesses of any shape with f <= 6 over GF(2),
-f <= 5 over GF(3) or f <= 4 over GF(4), at any demand.  Below full demand a
-matrix may serve classes other than those with the smallest floors, so the
-served classes are tried subset by subset, smallest floor sum first.
+cannot produce an unsound certificate.  The walk makes one pass, each step
+on the first side set it builds.  It never gets stuck on the search
+witnesses of any shape with f <= 6 over GF(2), f <= 5 over GF(3) or f <= 4
+over GF(4), at any demand, but it does on some other satisfying matrices;
+a stuck walk hands off to a search over quota-sized subsets of the decoded
+pools, checked by the same rank tests.  Below full demand a matrix may
+serve classes other than those with the smallest floors, so the served
+classes are tried subset by subset, smallest floor sum first.
 
 One span kernel serves every decodability question.  `_insert` adds one
 vector to a reduced echelon basis of (pivot, row) pairs, and u_j lies in the
@@ -155,9 +158,8 @@ class PicodInstance:
             self, "class_members", tuple(tuple(m) for m in self.class_members)
         )
         object.__setattr__(self, "side_counts", tuple(self.side_counts))
-        f = self.num_messages
         flat = sorted(m for members in self.class_members for m in members)
-        if flat != list(range(f)):
+        if flat != list(range(self.num_messages)):
             raise ParameterError("class members must partition the message indices")
         if len(self.side_counts) != len(self.class_members):
             raise ParameterError("side_counts must have one entry per class")
@@ -172,10 +174,7 @@ class PicodInstance:
                 f"demand {self.demand_classes} exceeds the {open_classes} classes "
                 "that are not fully held"
             )
-        if self.total_side > f - self.demand_classes:
-            raise ParameterError("side information too large for the demand")
-        if self.q < 2:
-            raise ParameterError("q must be at least 2")
+        make_field(self.q)  # FieldConstructionError unless q is a field order
 
     @property
     def num_classes(self) -> int:
@@ -772,9 +771,9 @@ class CertificateReport:
     trace: tuple
     collected: tuple[int, ...]
     matrix_rank: int
+    strategy: str  # "set-types" (the walk) or "search" (the pool search)
     ok: bool
     failure: str | None = None
-    strategy = "set-types"  # the walk is the only construction; kept in to_json()
 
     def to_json(self) -> dict:
         return {
@@ -871,64 +870,44 @@ class _Walker:
         return tuple(sorted(parts))
 
     def run(self, chosen, quotas, pools, sacrificed):
+        """One pass of steps, each on the first side set it builds.
+
+        Every quota is at least 1, so while the quotas left exceed the
+        served classes some class owes at least 2 and takes a single step;
+        then every class owes exactly 1 and one final step collects them
+        all.  A pick that is None, already collected or sacrificed ends the
+        walk: returns (None, trace).
+        """
         collected = []
         by_class = {j: [] for j in chosen}
         remaining = dict(quotas)
         trace = []
 
-        def collect_from(side, targets):
-            got = []
-            for j in targets:
-                tau = self.pick(side, j)
-                if tau is None or tau in collected or tau in sacrificed.get(j, ()):
-                    # force the conflicting index into the side set and retry
-                    return None, j, tau
-                got.append((j, tau))
-            return got, None, None
-
         def step(targets):
-            forced = {j: list(sacrificed.get(j, ())) for j in targets}
-            for _ in range(1 + sum(len(pools[j]) for j in targets)):
-                sac = dict(sacrificed)
-                for j in targets:
-                    sac[j] = tuple(forced[j])
-                side = self.build_side_set(chosen, by_class, pools, sac, set(targets))
-                got, bad_class, bad_tau = collect_from(side, targets)
-                if got is not None:
-                    before = len(collected)
-                    for j, tau in got:
-                        collected.append(tau)
-                        by_class[j].append(tau)
-                        remaining[j] -= 1
-                    trace.append(
-                        CertStep(
-                            side_set=side,
-                            targets=tuple(targets),
-                            collected=tuple(t for _, t in got),
-                            certified_before=before,
-                            certified_after=len(collected),
-                        )
-                    )
-                    return True
-                if bad_tau is None or bad_tau in forced[bad_class]:
-                    return False
-                forced[bad_class].append(bad_tau)
-                if len(forced[bad_class]) + min(
-                    len(by_class[bad_class]), self.inst.side_counts[bad_class]
-                ) > self.inst.side_counts[bad_class]:
-                    return False
-            return False
+            side = self.build_side_set(chosen, by_class, pools, sacrificed, set(targets))
+            got = [(j, self.pick(side, j)) for j in targets]
+            if any(t is None or t in collected or t in sacrificed.get(j, ()) for j, t in got):
+                return False
+            before = len(collected)
+            for j, tau in got:
+                collected.append(tau)
+                by_class[j].append(tau)
+                remaining[j] -= 1
+            trace.append(
+                CertStep(
+                    side_set=side,
+                    targets=tuple(targets),
+                    collected=tuple(t for _, t in got),
+                    certified_before=before,
+                    certified_after=len(collected),
+                )
+            )
+            return True
 
         while sum(remaining.values()) > len(chosen):
-            target = next((j for j in chosen if remaining[j] > 1), None)
-            if target is None:
-                break
-            if not step([target]):
+            if not step([next(j for j in chosen if remaining[j] > 1)]):
                 return None, trace
-        finals = [j for j in chosen if remaining[j] > 0]
-        if finals and not step(finals):
-            return None, trace
-        if any(remaining[j] != 0 for j in chosen):
+        if not step(list(chosen)):
             return None, trace
         return collected, trace
 
@@ -948,12 +927,12 @@ def rank_lower_bound_certificate(
     Requires the matrix to satisfy every client.  The served classes are
     tried as subsets of demand_classes classes, drawn from those not fully
     held and ordered by floor sum and then subset, each through the same
-    walk and rank checks; the first is the demand_classes classes with the
-    smallest floors, the only subset when every class not fully held is
-    demanded.  Raises the first attempt's CertificateError (with the
-    partial report attached) if all fail: the walk got stuck, or a rank
-    check would falsify the lower bound.  Either is treated as an
-    implementation bug signal.
+    walk, fallback search and rank checks; the first is the demand_classes
+    classes with the smallest floors, the only subset when every class not
+    fully held is demanded.  Raises the first attempt's CertificateError
+    (with the partial report attached) if all fail: the walk and the search
+    both found no certified index set, or a rank check would falsify the
+    lower bound.  Either is treated as an implementation bug signal.
     """
     walker = _Walker(matrix, instance)
     floors, order = _ordered_classes(instance)
@@ -982,7 +961,7 @@ def _certify(matrix, walker, floors, chosen) -> CertificateReport:
     leftovers = {j: inst.class_sizes[j] - (inst.side_counts[j] + 1) for j in tilde}
     pools = walker.decoded_pools(chosen)
 
-    def report(collected, trace, ok, failure=None, sacrificed=None):
+    def report(collected, trace, strategy, ok, failure=None, sacrificed=None):
         return CertificateReport(
             demand_classes=inst.demand_classes,
             chosen_classes=chosen,
@@ -997,6 +976,7 @@ def _certify(matrix, walker, floors, chosen) -> CertificateReport:
             trace=tuple(trace),
             collected=tuple(collected),
             matrix_rank=matrix.rank(),
+            strategy=strategy,
             ok=ok,
             failure=failure,
         )
@@ -1005,7 +985,7 @@ def _certify(matrix, walker, floors, chosen) -> CertificateReport:
     if total_decoded < decoded_floor:
         raise CertificateError(
             f"decoded set has {total_decoded} indices, below the floor {decoded_floor}",
-            report=report((), (), False, "decoded set too small"),
+            report=report((), (), "set-types", False, "decoded set too small"),
         )
 
     quotas = {j: floors[j] for j in chosen}
@@ -1016,25 +996,34 @@ def _certify(matrix, walker, floors, chosen) -> CertificateReport:
             sacrificed[j] = tuple(sorted(pools[j], reverse=True)[:extra])
 
     collected, trace = walker.run(chosen, quotas, pools, sacrificed)
+    strategy = "set-types"
     if collected is None:
-        raise CertificateError(
-            "could not assemble a certified index set",
-            report=report((), trace, False, "walk failed"),
-        )
+        # the walk got stuck; fall back to a direct search over quota-sized
+        # pool subsets, still validated by the same rank checks
+        strategy = "search"
+        if math.prod(math.comb(len(pools[j]), quotas[j]) for j in chosen) <= 20_000:
+            picks = itertools.product(*(itertools.combinations(pools[j], quotas[j]) for j in chosen))
+            cands = ([m for group in pick for m in group] for pick in picks)
+            collected = next((c for c in cands if _verify_collected(matrix, c)), None)
+        if collected is None:
+            raise CertificateError(
+                "could not assemble a certified index set",
+                report=report((), trace, strategy, False, "walk and search failed"),
+            )
     if len(set(collected)) != len(collected) or len(collected) < rank_floor:
         raise CertificateError(
             "collected indices are not distinct or fall short of the floor",
-            report=report(collected, trace, False, "short collection"),
+            report=report(collected, trace, strategy, False, "short collection"),
         )
     if not _verify_collected(matrix, collected):
         raise CertificateError(
             "rank verification failed; lower bound would be falsified",
-            report=report(collected, trace, False, "rank check failed"),
+            report=report(collected, trace, strategy, False, "rank check failed"),
         )
-    out = report(collected, trace, True, sacrificed=sacrificed)
+    out = report(collected, trace, strategy, True, sacrificed=sacrificed)
     if len(out.collected) > out.matrix_rank:
         raise CertificateError(
             "collected more independent units than the matrix rank",
-            report=report(collected, trace, False, "soundness breach"),
+            report=report(collected, trace, strategy, False, "soundness breach"),
         )
     return out

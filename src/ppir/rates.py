@@ -140,12 +140,12 @@ class RateReport(
         "RateReport",
         (
             "class_sizes", "side_counts", "capacity", "ppir", "pir_si", "regimes",
-            "fsi", "identified", "multi", "demand", "num_desired", "msi_bounds",
+            "fsi", "identified", "multi", "demand", "num_desired",
         ),
-        defaults=(None, None, None, 1, 1, None),
+        defaults=(None, None, None, 1, 1),
     )
 ):
-    """The rates of one instance; fsi, multi and msi_bounds only when asked for.
+    """The rates of one instance; fsi and multi only when asked for.
 
     A tuple rather than a dataclass, so `ppir capacity` loads neither
     `dataclasses` nor `inspect`; it also equals a plain tuple of the same
@@ -173,10 +173,6 @@ class RateReport(
             doc["demand"] = self.demand
             doc["num_desired"] = self.num_desired
             doc["status"]["multi_rate"] = "ACHIEVABLE-ONLY"
-        if self.msi_bounds is not None:
-            lo, hi = self.msi_bounds
-            doc["msi_bounds"] = [_frac_json(lo), _frac_json(hi)]
-            doc["status"]["msi_bounds"] = "CONJECTURE"
         return doc
 
     def csv_row(self) -> dict:

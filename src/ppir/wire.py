@@ -15,7 +15,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 
-from .errors import WireFormatError
+from .errors import FieldConstructionError, WireFormatError
+from .fields import make_field
 from .model import SideInfo
 from .protocol import Answer, ClassPayload, JointPayload, Query
 
@@ -167,7 +168,8 @@ def answer_to_json(answer: Answer) -> dict:
 
 
 def answer_from_json(doc: dict) -> Answer:
-    """Parse an answer; rows must match the msg_len header and identifiers not repeat.
+    """Parse an answer; q must be a field order, rows must match the msg_len
+    header and identifiers not repeat.
 
     Uncoded symbols must lie in [0, q): nothing decodes them, so nothing
     else would check them.
@@ -182,6 +184,10 @@ def answer_from_json(doc: dict) -> Answer:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise WireFormatError(f"malformed answer document: {exc}") from exc
+    try:
+        make_field(answer.q)
+    except FieldConstructionError as exc:
+        raise WireFormatError(f"answer header q: {exc}") from exc
     for n, payload in enumerate(answer.payloads):
         for row in payload.symbols:
             if len(row) != answer.msg_len:

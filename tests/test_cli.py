@@ -454,6 +454,17 @@ def test_replay_command_rejects_uncoded_symbols_outside_the_field(tmp_path, caps
     assert "uncoded symbol outside [0, 2)" in err and "Traceback" not in err
 
 
+def test_replay_command_rejects_an_answer_q_that_is_no_field_order(tmp_path, capsys):
+    # an all-uncoded answer is never decoded, so "q": 6 used to replay with exit 0
+    def mutate(doc):
+        assert [p["mode"] for p in doc["payloads"]] == ["uncoded", "uncoded"]
+        doc["q"] = 6
+
+    code, out, err = _replay_with(tmp_path, capsys, mutate, (5, 5), (1, 1), q=2)
+    assert code == 2 and out == ""
+    assert err == "error: answer header q: q=6 is neither prime nor a power of two\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -468,6 +479,15 @@ def test_flag_q_that_is_no_field_order_is_a_config_error(capsys, argv):
     q = argv[-1]
     assert code == 2 and out == ""
     assert err == f"error: --q: q={q} is neither prime nor a power of two\n"
+
+
+@pytest.mark.parametrize("command, extra", [("oracle", ("--skip-search",)), ("audit", ())])
+def test_flag_q_zero_is_a_config_error(capsys, command, extra):
+    # --q 0 used to fall back to the automatic field size and exit 0
+    argv = (command, "--class-sizes", "2,2", "--side-counts", "1,1", "--q", "0", *extra)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: --q: field order must be an integer >= 2, got 0\n"
 
 
 def test_run_command_q_that_is_no_field_order_is_config_error(tmp_path, capsys):

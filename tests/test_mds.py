@@ -231,6 +231,21 @@ def test_n_equals_k_above_crossover(q):
     assert code.erasure_decode(list(enumerate(msg))) == msg
 
 
+def test_wide_prime_long_rows_take_the_unpacked_column_loop():
+    # q = 2^32 + 15 is prime: a slot would need more than 64 bits, so rows of
+    # L >= _PACK_MIN_LEN are range-checked by min and max and not packed
+    q = 2**32 + 15
+    code = make_mds(5, 3, q)
+    assert mds._slot_bits(code.field, code.k) is None
+    rng = random.Random(7)
+    msg = [tuple(rng.randrange(q) for _ in range(mds._PACK_MIN_LEN)) for _ in range(code.k)]
+    cw = code.encode(msg)
+    assert code.erasure_decode([(p, cw[p]) for p in (1, 3, 4)]) == cw
+    tampered = cw[3][:-1] + (q,)
+    with pytest.raises(CorruptionError, match=rf"outside \[0, {q}\)"):
+        code.erasure_decode([(1, cw[1]), (3, tampered), (4, cw[4])])
+
+
 def test_recovery_cache_is_bounded():
     code = SystematicMdsCode(10, 5, make_field(11))
     msg = [tuple((3 * i + j) % 11 for j in range(20)) for i in range(5)]

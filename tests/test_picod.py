@@ -3,12 +3,13 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_world
 from ppir.errors import (
     CertificateError,
     EnumerationCapError,
+    FieldConstructionError,
     ParameterError,
     SearchBudgetError,
 )
@@ -142,7 +143,9 @@ def test_instance_validation():
     with pytest.raises(ParameterError):
         PicodInstance(((0, 1), (1, 2)), (1, 1), 2, 3)  # not a partition
     with pytest.raises(ParameterError):
-        PicodInstance(((0, 1), (2, 3)), (2, 1), 2, 3)  # kappa > f - t
+        PicodInstance(((0, 1), (2, 3)), (2, 1), 2, 3)  # kappa > f - t: one open class, t = 2
+    with pytest.raises(FieldConstructionError, match="q=6"):
+        PicodInstance(((0, 1), (2, 3)), (1, 1), 2, 6)  # no field of order 6
     assert generic_min_field_size(4) == 8
 
 
@@ -397,6 +400,20 @@ def _classed_matrices(draw):
     return matrix, members, side_counts
 
 
+# satisfying GF(2) matrices on which the walk gets stuck: (columns, class
+# members, side counts, demand); the pool search certifies each
+_STUCK_WALKS = [
+    (((0, 0, 1, 1), (1, 1, 0, 0)), ((0, 1, 2, 3),), (1,), 1),
+    (((1, 1, 1, 1, 0), (1, 1, 0, 0, 0)), ((4,), (0, 1, 2, 3)), (0, 1), 1),
+    (
+        ((1, 1, 1, 0, 0), (1, 0, 1, 1, 0), (0, 1, 0, 0, 0), (1, 0, 1, 0, 1)),
+        ((1,), (0, 2, 3, 4)),
+        (0, 1),
+        2,
+    ),
+]
+
+
 def _reference_picks(matrix, side, members):
     """Per class, the first index a client holding side decodes anew."""
     return tuple(
@@ -407,6 +424,7 @@ def _reference_picks(matrix, side, members):
 
 @settings(max_examples=200, deadline=None)
 @given(_classed_matrices())
+@example((EncodingMatrix(_STUCK_WALKS[0][0], 2), _STUCK_WALKS[0][1], _STUCK_WALKS[0][2]))
 def test_group_tables_match_per_client_checks(case):
     # q in {2, 3, 4}, every demand: the product decomposition agrees with
     # checking every client of the full family, and the certificate's pools
@@ -671,20 +689,40 @@ def test_certificate_scheme_answer_case1():
     assert len(cert.trace) == cert.decoded_floor - instance.demand_classes + 1
 
 
-def test_a_stuck_walk_is_a_certificate_error(monkeypatch):
-    # the walk is the only construction: no subset search runs behind it
+def _stuck_walk_case(monkeypatch):
     params, layout, store, side, _ = make_world((3, 3), (1, 1), seed=6)
     matrix = answer_to_encoding_matrix(usi_answer(usi_query(0, side), store, 7), layout)
     instance = PicodInstance(layout.class_members, (1, 1), 2, params.q)
     monkeypatch.setattr(picod._Walker, "run", lambda self, *args: (None, []))
-    monkeypatch.setattr(
-        picod, "_verify_collected", lambda *args: pytest.fail("a stuck walk ran a rank check")
-    )
+    return matrix, instance
+
+
+def test_a_stuck_walk_certifies_through_the_pool_search(monkeypatch):
+    matrix, instance = _stuck_walk_case(monkeypatch)
+    cert = rank_lower_bound_certificate(matrix, instance)
+    assert cert.ok and cert.strategy == "search" and cert.trace == ()
+    assert len(cert.collected) == cert.rank_floor == 4
+    assert cert.to_json()["strategy"] == "search"
+
+
+def test_a_stuck_walk_and_a_failed_search_are_a_certificate_error(monkeypatch):
+    matrix, instance = _stuck_walk_case(monkeypatch)
+    monkeypatch.setattr(picod, "_verify_collected", lambda *args: False)
     with pytest.raises(CertificateError, match="could not assemble") as err:
         rank_lower_bound_certificate(matrix, instance)
     report = err.value.report
-    assert not report.ok and report.failure == "walk failed"
-    assert report.to_json()["strategy"] == "set-types"
+    assert not report.ok and report.failure == "walk and search failed"
+    assert report.to_json()["strategy"] == "search"
+
+
+@pytest.mark.parametrize("columns, members, side_counts, t", _STUCK_WALKS)
+def test_stuck_walks_certify_through_the_pool_search(columns, members, side_counts, t):
+    matrix = EncodingMatrix(columns, 2)
+    instance = PicodInstance(members, side_counts, t, 2)
+    cert = rank_lower_bound_certificate(matrix, instance)
+    assert cert.ok and cert.strategy == "search"
+    assert cert.rank_floor >= broadcast_lower_bound(instance)
+    assert cert.rank_floor <= len(cert.collected) <= cert.matrix_rank
 
 
 def test_certificate_scheme_answer_case2():

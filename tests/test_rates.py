@@ -99,21 +99,3 @@ def test_rate_report_flags():
     row = report.csv_row()
     assert row["capacity"] == "1/3"
     assert row["class_sizes"] == "4x4"
-
-
-def test_rate_report_msi_bounds_flagged():
-    from ppir.rates import RateReport
-
-    report = rate_report((4, 2), (1, 1))
-    assert report.msi_bounds is None
-    lo, hi = msi_rate_bounds(6, 3, 2, 1)
-    tagged = RateReport(
-        class_sizes=(4, 2),
-        side_counts=(1, 1),
-        capacity=report.capacity,
-        ppir=report.ppir,
-        pir_si=report.pir_si,
-        regimes=report.regimes,
-        msi_bounds=(lo, hi),
-    )
-    assert tagged.to_json()["status"]["msi_bounds"] == "CONJECTURE"

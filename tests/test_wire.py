@@ -282,6 +282,16 @@ def test_uncoded_symbols_must_lie_in_the_field(symbol):
     assert answer_from_json(doc) is not None
 
 
+@pytest.mark.parametrize("q", [6, 1, 0])
+def test_answer_q_must_be_a_field_order(q):
+    # an all-uncoded answer is never decoded, so "q": 6 used to read back with no error
+    _, _, store, side, _ = make_world((5, 5), (1, 1), q=2)
+    doc = answer_to_json(usi_answer(usi_query(0, side), store, 1))
+    assert [p["mode"] for p in doc["payloads"]] == ["uncoded", "uncoded"]
+    with pytest.raises(WireFormatError, match=rf"^answer header q: .*\b{q}\b"):
+        answer_from_json(_with(doc, ("q",), q))
+
+
 def test_parity_symbols_out_of_range_are_left_to_the_decoder():
     from ppir.errors import CorruptionError
     from ppir.protocol import decode_answer
