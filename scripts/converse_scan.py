@@ -70,6 +70,7 @@ def main():
             print(
                 f"{sizes} {counts} GF({q}): min={found} bound={lower} "
                 f"upper={upper} examined={result.examined} checked={result.checked} "
+                f"pruned={result.pruned} "
                 f"({elapsed:.2f}s) {status}"
             )
     return 1 if mismatches else 0

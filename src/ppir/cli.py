@@ -151,7 +151,7 @@ def cmd_oracle(args) -> int:
             )
             print(
                 f"search: checked {search.checked} of {search.examined} candidates, "
-                f"{search.group_elements} group elements",
+                f"pruned {search.pruned} prefixes, {search.group_elements} group elements",
                 file=sys.stderr,
             )
             doc["bruteforce"] = search.to_json()

@@ -59,12 +59,20 @@ the largest element of a set least in its orbit leaves a set least in its
 orbit; and the first satisfying set is least in its orbit, so the walk
 reaches it through its prefixes.  `examined` is sum C(n, l) over the
 exhausted lengths plus the witness's lexicographic rank plus one.  Each
-client keeps the bases of the current prefix, so a candidate costs one
-insertion per client checked; the checks stop at the first unsatisfied
-client, which then moves to the front of the list (fail first), since
-neighbouring candidates tend to fail on the same client and neither the
-verdict nor a client's bases depend on the order.  `linalg.echelon` stays
-the independent rank check behind `EncodingMatrix.rank`.
+client keeps the bases of the current prefix and a one-column lookahead
+built from its reduced basis B: the classes it already decodes, and its
+other kept coordinates grouped by normalized residue modulo span(B).  One
+added column x decodes exactly the units whose residue is a nonzero
+multiple of x's, so a candidate costs one reduction and one lookup per
+client checked, with the verdict a full insertion would give.  A last-level
+prefix for which some client has no residue group reaching the demand has
+no satisfying child, and the walk leaves it at once (`pruned` counts them);
+the first satisfying set and `examined` do not change.  The checks stop at
+the first unsatisfied or hopeless client, which then moves to the front of
+the list (fail first), since neighbouring candidates tend to fail on the
+same client and neither the verdict nor a client's bases depend on the
+order.  `linalg.echelon` stays the independent rank check behind
+`EncodingMatrix.rank`, run once per matrix.
 """
 
 from __future__ import annotations
@@ -109,7 +117,13 @@ class EncodingMatrix:
         return [list(r) for r in zip(*self.columns)] if self.columns else []
 
     def rank(self) -> int:
-        return linalg.rank(make_field(self.q), [list(c) for c in self.columns])
+        """Rank over GF(q): one `linalg.echelon` per matrix, cached on it."""
+        cached = self.__dict__.get("_rank")
+        if cached is None:
+            cached = self.__dict__["_rank"] = linalg.rank(
+                make_field(self.q), [list(c) for c in self.columns]
+            )
+        return cached
 
     @functools.cached_property
     def _span_blocks(self):
@@ -233,13 +247,12 @@ def generic_min_field_size(num_messages: int) -> int:
 # --- decodability checks -----------------------------------------------------
 
 
-def _insert(field, basis, vec):
-    """Add vec to a reduced echelon basis of (pivot, row) pairs.
+def _residue(field, basis, vec):
+    """vec reduced by a reduced echelon basis, scaled to a leading one.
 
-    Returns basis itself when vec already lies in its span.  Otherwise vec is
-    reduced by the basis, scaled so its leading entry is one, and cleared
-    from the other rows; every pivot stays its row's leading entry, so the
-    result is the unique reduced echelon form of the enlarged span.
+    Returns (lead, residue), or None when vec lies in the span.  The residue
+    is zero at every pivot, so two vectors get the same residue exactly
+    when each is a nonzero multiple of the other modulo the span.
     """
     for p, row in basis:
         c = vec[p]
@@ -247,9 +260,24 @@ def _insert(field, basis, vec):
             vec = field.row_addmul(vec, row, field.neg(c))
     lead = next(filter(vec.__getitem__, range(len(vec))), None)
     if lead is None:
-        return basis
+        return None
     if vec[lead] != 1:
         vec = field.row_scale(vec, field.inv(vec[lead]))
+    return lead, vec
+
+
+def _insert(field, basis, vec):
+    """Add vec to a reduced echelon basis of (pivot, row) pairs.
+
+    Returns basis itself when vec already lies in its span.  Otherwise its
+    residue is cleared from the other rows; every pivot stays its row's
+    leading entry, so the result is the unique reduced echelon form of the
+    enlarged span.
+    """
+    reduced = _residue(field, basis, vec)
+    if reduced is None:
+        return basis
+    lead, vec = reduced
     out = [
         (p, field.row_addmul(row, vec, field.neg(row[lead])) if row[lead] else row)
         for p, row in basis
@@ -525,10 +553,12 @@ class SearchResult:
     witness: EncodingMatrix | None
     examined: int
     exhausted_lengths: tuple[int, ...]
-    # leaves whose clients were checked, and group elements listed with the
-    # identity: observability only, outside to_json() and equality
+    # leaves whose clients were checked, group elements listed with the
+    # identity and prefixes the lookahead cut: observability only, outside
+    # to_json() and equality
     checked: int = field(default=0, compare=False)
     group_elements: int = field(default=0, compare=False)
+    pruned: int = field(default=0, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -542,8 +572,11 @@ class SearchResult:
 
 class _PrefixSpans:
     """One client's side of the search: the points restricted to its kept
-    coordinates, each once and on first use, and the echelon bases of the
-    current column prefix."""
+    coordinates, each once and on first use, the echelon bases of the
+    current column prefix and that prefix's lookahead.  Adding a column x
+    to span(B) makes u_j decodable exactly when u_j lies in span(B) or the
+    residue of u_j (e_j off the pivots, e_j - row_j on them) is a nonzero
+    multiple of the residue of x."""
 
     def __init__(self, instance: PicodInstance, side_set, points):
         side = set(side_set)
@@ -555,6 +588,7 @@ class _PrefixSpans:
         self.restricted = {}
         self.prefix = ()
         self.bases = [()]  # bases[d]: span of the first d prefix columns
+        self.ahead = None  # the prefix's lookahead, built on first use
 
     def _column(self, i):
         vec = self.restricted.get(i)
@@ -563,7 +597,9 @@ class _PrefixSpans:
             vec = self.restricted[i] = [point[j] for j in self.keep]
         return vec
 
-    def satisfied(self, field, prefix, last) -> bool:
+    def _lookahead(self, field, prefix):
+        """True when prefix already satisfies the client, else the set of
+        normalized residues a single added column must have to satisfy it."""
         if prefix != self.prefix:
             d = 0
             for old, new in zip(self.prefix, prefix):
@@ -574,9 +610,36 @@ class _PrefixSpans:
             for i in prefix[d:]:
                 self.bases.append(_insert(field, self.bases[-1], self._column(i)))
             self.prefix = prefix
-        basis = _insert(field, self.bases[-1], self._column(last))
-        classes = self.classes
-        return len({classes[p] for p in _unit_pivots(basis)}) >= self.demand
+            self.ahead = None
+        if self.ahead is None:
+            basis, classes = self.bases[-1], self.classes
+            units = _unit_pivots(basis)
+            have = {classes[p] for p in units}
+            if len(have) >= self.demand:
+                self.ahead = True
+            else:
+                groups = {}  # normalized residue -> classes of the units it decodes
+                for j, c in enumerate(classes):
+                    if j not in units:
+                        unit = [0] * len(classes)
+                        unit[j] = 1
+                        groups.setdefault(tuple(_residue(field, basis, unit)[1]), set()).add(c)
+                self.ahead = frozenset(
+                    r for r, hit in groups.items() if len(have | hit) >= self.demand
+                )
+        return self.ahead
+
+    def hopeless(self, field, prefix) -> bool:
+        """No single column added to prefix satisfies the client."""
+        return not self._lookahead(field, prefix)
+
+    def satisfied(self, field, prefix, last) -> bool:
+        """Does prefix plus column last satisfy the client?"""
+        good = self._lookahead(field, prefix)
+        if good is True:
+            return True
+        reduced = _residue(field, self.bases[-1], self._column(last))
+        return reduced is not None and tuple(reduced[1]) in good
 
 
 class _OrderlyWalk:
@@ -596,7 +659,7 @@ class _OrderlyWalk:
     def __init__(self, instance: PicodInstance, family, points):
         self.clients = [_PrefixSpans(instance, side, points) for side in family]
         self.n = len(points)
-        self.checked = 0
+        self.checked = self.pruned = 0
         self.prune_by([])
 
     def prune_by(self, elements):
@@ -646,8 +709,15 @@ class _OrderlyWalk:
         if marks is None:
             marks = [0] * len(self.lower)
         images, clients = self.images, self.clients
-        refused, limits = self._limits(prefix, mask, marks)
         leaf = len(prefix) + 1 == length
+        if leaf:  # a prefix no single column completes for some client has no satisfying child
+            for at, client in enumerate(clients):
+                if client.hopeless(field, prefix):
+                    if at:
+                        clients.insert(0, clients.pop(at))
+                    self.pruned += 1
+                    return None
+        refused, limits = self._limits(prefix, mask, marks)
         for x in range(prefix[-1] + 1 if prefix else 0, self.n - length + len(prefix) + 1):
             if refused >> x & 1 or limits and any(map(operator.lt, images[x], limits)):
                 continue
@@ -703,8 +773,10 @@ def min_code_length_bruteforce(
     lengths, plus the witness's lexicographic rank plus one.  `budget`
     bounds it per length: a length whose candidates would pass the budget
     raises SearchBudgetError carrying the lengths already exhausted.
-    `checked` counts the candidates whose clients were checked and
-    `group_elements` the listed elements of G, the identity included.  The
+    `checked` counts the candidates whose clients were checked,
+    `group_elements` the listed elements of G, the identity included, and
+    `pruned` the last-level prefixes left because some client could not be
+    satisfied by any one more column.  The
     points are listed only once length 1 fits the budget, so an instance
     far past it fails at once instead of listing (q^f - 1)/(q - 1) vectors.
     Length 1 is scanned in full: listing the group costs about as much, so
@@ -736,12 +808,13 @@ def min_code_length_bruteforce(
             witness = EncodingMatrix(tuple(points[i] for i in combo), q)
             examined += _lex_rank(combo, num_points) + 1
             return SearchResult(
-                True, l, witness, examined, tuple(exhausted), walk.checked, walk.group_elements
+                True, l, witness, examined, tuple(exhausted),
+                walk.checked, walk.group_elements, walk.pruned,
             )
         examined += level_size
         exhausted.append(l)
-    checked, group = (walk.checked, walk.group_elements) if walk else (0, 0)
-    return SearchResult(False, None, None, examined, tuple(exhausted), checked, group)
+    work = (walk.checked, walk.group_elements, walk.pruned) if walk else (0, 0, 0)
+    return SearchResult(False, None, None, examined, tuple(exhausted), *work)
 
 
 # --- rank lower-bound certificate -----------------------------------------------
@@ -842,6 +915,10 @@ class _Walker:
         Filler never touches indices that may still be collected: outside
         the decoded pool, or sacrificed pool entries.  Target classes take
         sacrificed entries first so the greedy pick cannot land on one.
+        Filler never runs short: a served class keeps back only its pool
+        entries that are not sacrificed, at most its quota min(k + 1,
+        mu - k) <= mu - k of them, so at least k members are left to fill
+        from; other classes keep back nothing.
         """
         parts = []
         for j, members in enumerate(self.inst.class_members):
@@ -862,10 +939,6 @@ class _Walker:
                     if m not in part:
                         part.append(m)
                         need -= 1
-            if need > 0:
-                raise CertificateError(
-                    f"cannot assemble a side set for class {j}", report=None
-                )
             parts.extend(part)
         return tuple(sorted(parts))
 
@@ -999,8 +1072,10 @@ def _certify(matrix, walker, floors, chosen) -> CertificateReport:
     strategy = "set-types"
     if collected is None:
         # the walk got stuck; fall back to a direct search over quota-sized
-        # pool subsets, still validated by the same rank checks
+        # pool subsets, still validated by the same rank checks.  The search
+        # sacrifices nothing: the map was the stuck walk's
         strategy = "search"
+        sacrificed = {}
         if math.prod(math.comb(len(pools[j]), quotas[j]) for j in chosen) <= 20_000:
             picks = itertools.product(*(itertools.combinations(pools[j], quotas[j]) for j in chosen))
             cands = ([m for group in pick for m in group] for pick in picks)

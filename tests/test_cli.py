@@ -56,10 +56,12 @@ def test_oracle_reports_search_work_on_stderr(capsys):
     assert code == 0
     doc = json.loads(out)
     # lengths 1 and 2 exhausted (7 + 21 candidates), the witness first at length 3;
-    # checked: every point, then one set per orbit, 6 pairs and the witness
+    # no one column decodes three units after the empty prefix, nor two more
+    # after one column, so that prefix and the three single-point orbits are
+    # pruned and the witness is the only candidate checked
     assert doc["bruteforce"]["examined"] == 7 + 21 + 1
-    assert "checked" not in doc["bruteforce"]
-    assert err == "search: checked 14 of 29 candidates, 6 group elements\n"
+    assert "checked" not in doc["bruteforce"] and "pruned" not in doc["bruteforce"]
+    assert err == "search: checked 1 of 29 candidates, pruned 4 prefixes, 6 group elements\n"
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import make_world
 from ppir.errors import (
@@ -618,10 +618,26 @@ def test_bruteforce_checks_fewer_candidates_than_it_counts():
     assert result == SearchResult(True, 5, result.witness, result.examined, (1, 2, 3, 4))
 
 
-def test_bruteforce_checks_one_candidate_per_orbit():
-    # length 1 is scanned in full; from length 2 on, with the whole group
-    # listed, exactly the least set of each orbit is checked:
-    # (1,1,1,1)/(0,0,0,0) over GF(2) exhausts lengths 1-3 of 15 points
+def _inserted_verdict(client, field, prefix, last):
+    """A search client's verdict from inserting the prefix and last afresh."""
+    basis = ()
+    for i in prefix + (last,):
+        basis = _insert(field, basis, client._column(i))
+    return len({client.classes[p] for p in _unit_pivots(basis)}) >= client.demand
+
+
+def _stub_lookahead(monkeypatch):
+    """Search without the lookahead: no prefix is hopeless and every leaf
+    is checked by full insertions."""
+    monkeypatch.setattr(picod._PrefixSpans, "hopeless", lambda self, field, prefix: False)
+    monkeypatch.setattr(picod._PrefixSpans, "satisfied", _inserted_verdict)
+
+
+def test_bruteforce_checks_one_candidate_per_orbit(monkeypatch):
+    # without the lookahead, length 1 is scanned in full and from length 2
+    # on, with the whole group listed, exactly the least set of each orbit
+    # is checked: (1,1,1,1)/(0,0,0,0) over GF(2) exhausts lengths 1-3 of 15
+    # points; the lookahead checks at most those
     instance = inst((1, 1, 1, 1), (0, 0, 0, 0), q=2)
     points = _projective_points(2, 4)
     group = [tuple(range(len(points)))] + _group_elements(instance, points)
@@ -633,7 +649,56 @@ def test_bruteforce_checks_one_candidate_per_orbit():
     }
     result = min_code_length_bruteforce(instance, 3)
     assert not result.found and result.examined == 15 + 105 + 455
-    assert result.checked == 15 + len(orbits) and result.group_elements == 24
+    assert result.checked <= 15 + len(orbits) and result.group_elements == 24
+    _stub_lookahead(monkeypatch)
+    plain = min_code_length_bruteforce(instance, 3)
+    assert plain == result and plain.pruned == 0
+    assert plain.checked == 15 + len(orbits) and plain.group_elements == 24
+
+
+def test_bruteforce_same_result_without_the_lookahead(monkeypatch):
+    # the lookahead changes what is checked, never the result
+    cases = list(_reference_cases())
+    want = [_search_or_budget(instance, l_max, 20_000) for instance, l_max in cases]
+    _stub_lookahead(monkeypatch)
+    assert [_search_or_budget(instance, l_max, 20_000) for instance, l_max in cases] == want
+    assert len(cases) == 330
+
+
+@st.composite
+def _client_prefixes(draw):
+    """A search client over GF(2..5), at most 156 points, with two prefixes
+    of distinct points."""
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    f = draw(st.integers(2, {2: 7, 3: 5, 4: 4, 5: 4}[q]))
+    cuts = sorted(draw(st.lists(st.integers(1, f - 1), max_size=3, unique=True)))
+    members = tuple(tuple(range(a, b)) for a, b in zip([0] + cuts, cuts + [f]))
+    counts = tuple(draw(st.integers(0, len(m))) for m in members)
+    open_classes = sum(len(m) > k for m, k in zip(members, counts))
+    assume(open_classes >= 1)
+    instance = PicodInstance(members, counts, draw(st.integers(1, open_classes)), q)
+    side = draw(st.sampled_from(instance.side_family()))
+    points = _projective_points(q, instance.num_messages)
+    prefix = st.lists(st.integers(0, len(points) - 1), max_size=4, unique=True).map(tuple)
+    return picod._PrefixSpans(instance, side, points), make_field(q), [draw(prefix), draw(prefix)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_client_prefixes())
+def test_residue_lookup_matches_a_full_insertion(case):
+    client, field, prefixes = case
+    for prefix in prefixes:
+        for x in range(len(client.points)):
+            assert client.satisfied(field, prefix, x) == _inserted_verdict(client, field, prefix, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_client_prefixes())
+def test_hopeless_exactly_when_no_point_satisfies(case):
+    client, field, prefixes = case
+    for prefix in prefixes:
+        fits = any(_inserted_verdict(client, field, prefix, x) for x in range(len(client.points)))
+        assert client.hopeless(field, prefix) == (not fits)
 
 
 def test_group_listing_stays_under_the_entry_cap():
@@ -723,6 +788,9 @@ def test_stuck_walks_certify_through_the_pool_search(columns, members, side_coun
     assert cert.ok and cert.strategy == "search"
     assert cert.rank_floor >= broadcast_lower_bound(instance)
     assert cert.rank_floor <= len(cert.collected) <= cert.matrix_rank
+    # the search sacrifices nothing; the stuck walk's map would name a
+    # collected index (first case: collected (0, 2), walk map {0: (3, 2)})
+    assert cert.sacrificed == {} and cert.to_json()["sacrificed"] == {}
 
 
 def test_certificate_scheme_answer_case2():
