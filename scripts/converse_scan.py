@@ -2,7 +2,9 @@
 """Brute-force minimum broadcast length vs the closed-form bound on tiny instances.
 
 Scans every class shape with at most --max-messages messages over the given
-fields, prints one line per instance, and exits nonzero on any mismatch.
+fields, prints one line per instance and a closing summary line (instances,
+skipped, mismatches, total search seconds), and exits nonzero on any
+mismatch.
 Every witness found also goes through `rank_lower_bound_certificate`; a
 CertificateError counts as a mismatch.  The search space grows as
 (q^f)^l, so keep f small.
@@ -45,19 +47,24 @@ def main():
     parser.add_argument("--budget", type=int, default=2_000_000)
     args = parser.parse_args()
 
-    mismatches = 0
+    searched = skipped = mismatches = 0
+    search_s = 0.0
     for sizes, counts in shapes(args.max_messages):
         for q in args.fields:
             instance = instance_from_params(InstanceParams(sizes, counts, q=q))
             lower = broadcast_lower_bound(instance)
             upper = broadcast_upper_bound(sum(sizes), sum(counts), len(sizes))
+            searched += 1
             started = time.perf_counter()
             try:
                 result = min_code_length_bruteforce(instance, lower, budget=args.budget)
             except SearchBudgetError as exc:
+                search_s += time.perf_counter() - started
+                skipped += 1
                 print(f"{sizes} {counts} GF({q}): skipped ({exc})")
                 continue
             elapsed = time.perf_counter() - started
+            search_s += elapsed
             found = result.min_length if result.found else f">{lower}"
             status = "ok" if result.found and result.min_length == lower else "MISMATCH"
             if result.found:
@@ -73,6 +80,10 @@ def main():
                 f"pruned={result.pruned} "
                 f"({elapsed:.2f}s) {status}"
             )
+    print(
+        f"summary: {searched} shapes, {skipped} skipped, {mismatches} mismatches, "
+        f"search {search_s:.2f}s"
+    )
     return 1 if mismatches else 0
 
 

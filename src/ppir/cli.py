@@ -175,8 +175,9 @@ def cmd_audit(args) -> int:
     from .model import build_layout, random_store
     from .protocol import longest_code_length
 
-    if args.trials < 1:
-        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
+    for flag, value in (("--trials", args.trials), ("--cap", args.cap)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {value}")
     params = _params_from_args(args)
     # here, not in _params_from_args: oracle searches a field below the scheme's on purpose
     need = longest_code_length(params.class_sizes, params.side_counts)
@@ -198,9 +199,8 @@ def cmd_audit(args) -> int:
         store = random_store(layout, args.seed + 1)
         try:
             verdict = audit_exact(store, server=server, cap=args.cap)
-        except EnumerationCapError as exc:
-            _emit({"error": str(exc)})
-            return 2
+        except EnumerationCapError as exc:  # the audit --cap asks for cannot run
+            raise ConfigError(str(exc)) from exc
     else:
         verdict = audit_statistical(
             layout, args.trials, args.seed + 1, server=server

@@ -53,26 +53,26 @@ G (scaling a coordinate, permuting messages within a class, permuting
 classes with equal (mu_i, k_i)), which permutes the projective points, and
 the search is orderly generation (Read, "Every one a winner", Ann. Discrete
 Math. 1978): a depth-first walk over sorted prefixes that extends a prefix
-only while no listed element of G maps it to a smaller sorted tuple.  That
-is exact for any listed subset of G: satisfaction is G-invariant; dropping
-the largest element of a set least in its orbit leaves a set least in its
-orbit; and the first satisfying set is least in its orbit, so the walk
-reaches it through its prefixes.  `examined` is sum C(n, l) over the
-exhausted lengths plus the witness's lexicographic rank plus one.  Each
-client keeps the bases of the current prefix and a one-column lookahead
-built from its reduced basis B: the classes it already decodes, and its
-other kept coordinates grouped by normalized residue modulo span(B).  One
-added column x decodes exactly the units whose residue is a nonzero
-multiple of x's, so a candidate costs one reduction and one lookup per
-client checked, with the verdict a full insertion would give.  A last-level
-prefix for which some client has no residue group reaching the demand has
-no satisfying child, and the walk leaves it at once (`pruned` counts them);
-the first satisfying set and `examined` do not change.  The checks stop at
-the first unsatisfied or hopeless client, which then moves to the front of
-the list (fail first), since neighbouring candidates tend to fail on the
-same client and neither the verdict nor a client's bases depend on the
-order.  `linalg.echelon` stays the independent rank check behind
-`EncodingMatrix.rank`, run once per matrix.
+only while no generator of G maps it to a smaller sorted tuple.  That is
+exact for any subset of G, so the few generators do: satisfaction is
+G-invariant; dropping the largest element of a set least in its orbit
+leaves a set least in its orbit; and the first satisfying set is least in
+its orbit, so the walk reaches it through its prefixes.  `examined` is sum
+C(n, l) over the exhausted lengths plus the witness's lexicographic rank
+plus one.  Each client keeps the bases of the current prefix and a
+one-column lookahead built from its reduced basis B: the classes it already
+decodes, and its other kept coordinates grouped by normalized residue
+modulo span(B).  One added column x decodes exactly the units whose residue
+is a nonzero multiple of x's, so a candidate costs one reduction and one
+lookup per client checked, with the verdict a full insertion would give.  A
+last-level prefix for which some client has no residue group reaching the
+demand has no satisfying child, and the walk leaves it at once (`pruned`
+counts them); the first satisfying set and `examined` do not change.  The
+checks stop at the first unsatisfied or hopeless client, which then moves
+to the front of the list (fail first), since neighbouring candidates tend
+to fail on the same client and neither the verdict nor a client's bases
+depend on the order.  `linalg.echelon` stays the independent rank check
+behind `EncodingMatrix.rank`, run once per matrix.
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 
 from . import linalg
@@ -459,9 +458,6 @@ def broadcast_upper_bound(num_messages: int, total_side: int, demand_classes: in
 
 # --- exhaustive minimum-length search ------------------------------------------
 
-GROUP_ENTRY_CAP = 1 << 18  # listed group elements times points, per search
-
-
 def _projective_points(q: int, f: int):
     """Nonzero vectors with leading coefficient one, lexicographic order.
 
@@ -522,30 +518,6 @@ def _group_generators(instance: PicodInstance, points):
     return [as_permutation(g) for g in gens]
 
 
-def _group_elements(instance: PicodInstance, points):
-    """Elements of the monomial group other than the identity, up to the cap.
-
-    Breadth-first products of the generators, the generators first; the
-    listing stops before elements times points would pass GROUP_ENTRY_CAP,
-    so a large group is listed only in part.  Pruning is sound for any subset.
-    """
-    n = len(points)
-    if n > GROUP_ENTRY_CAP:
-        return []
-    gens = _group_generators(instance, points)
-    queue = [tuple(range(n))]
-    seen = set(queue)
-    for element in queue:
-        for gen in gens:
-            product = tuple(map(gen.__getitem__, element))
-            if product not in seen:
-                if len(queue) * n > GROUP_ENTRY_CAP:
-                    return queue[1:]
-                seen.add(product)
-                queue.append(product)
-    return queue[1:]
-
-
 @dataclass(frozen=True)
 class SearchResult:
     found: bool
@@ -553,9 +525,9 @@ class SearchResult:
     witness: EncodingMatrix | None
     examined: int
     exhausted_lengths: tuple[int, ...]
-    # leaves whose clients were checked, group elements listed with the
-    # identity and prefixes the lookahead cut: observability only, outside
-    # to_json() and equality
+    # leaves whose clients were checked, generators of the group the walk
+    # prunes by plus the identity, and prefixes the lookahead cut:
+    # observability only, outside to_json() and equality
     checked: int = field(default=0, compare=False)
     group_elements: int = field(default=0, compare=False)
     pruned: int = field(default=0, compare=False)
@@ -643,72 +615,24 @@ class _PrefixSpans:
 
 
 class _OrderlyWalk:
-    """Depth-first walk over sorted point-index tuples, least in their orbits.
+    """Depth-first walk over sorted point-index tuples that no generator of
+    the monomial group maps to a smaller sorted tuple.
 
-    Sets are compared as sorted tuples, so A precedes B exactly when the
-    smallest element of their symmetric difference lies in A; on bitmasks
-    that is one xor and one lowest-bit test.  Each prefix P of the walk is
-    least in its orbit, so for a listed element g either g fixes P as a set,
-    and the child P + (x,) fails exactly when g(x) < x, or m, the smallest
-    element of P not in g(P), lies in P, and the child stays least when
-    g(x) > m, fails when g(x) < m and needs one mask test when g(x) == m.
-    A prefix therefore costs one pass over the elements and a child one
-    comparison per element, in C.
+    A child P + (x,) is skipped when some generator g gives
+    sorted(g(P + (x,))) < P + (x,); a set least in its whole orbit passes
+    every generator, so the walk still reaches it.
     """
 
     def __init__(self, instance: PicodInstance, family, points):
         self.clients = [_PrefixSpans(instance, side, points) for side in family]
+        self.generators = _group_generators(instance, points)
+        self.group_elements = len(self.generators) + 1  # with the identity
         self.n = len(points)
         self.checked = self.pruned = 0
-        self.prune_by([])
 
-    def prune_by(self, elements):
-        """Walk up to these point permutations from now on."""
-        n = self.n
-        self.group_elements = len(elements) + 1
-        self.images = tuple(zip(*elements)) or ((),) * n  # images[x][e] = element e of x
-        preimages = [[0] * n for _ in elements]
-        for pre, element in zip(preimages, elements):
-            for x, y in enumerate(element):
-                pre[y] = x
-        self.preimages = tuple(zip(*preimages)) or ((),) * n
-        # per element, the points it moves down: their children fail below a fixed prefix
-        self.lower = [sum(1 << x for x, y in enumerate(e) if y < x) for e in elements]
-
-    def _limits(self, prefix, mask, marks):
-        """(Children refused by mask, per-element bound) below a least prefix.
-
-        A child x > prefix[-1] is refused when its bit is in the mask or some
-        element e maps it below limits[e].
-        """
-        refused = 0
-        limits = []
-        last = prefix[-1] if prefix else -1
-        for e, mark in enumerate(marks):
-            diff = mark ^ mask
-            if not diff:
-                refused |= self.lower[e]
-                limits.append(-1)
-                continue
-            low = diff & -diff  # in mask: the prefix is least in its orbit
-            m = low.bit_length() - 1
-            limits.append(m)
-            x = self.preimages[m][e]
-            if x > last:
-                diff = (mask | 1 << x) ^ (mark | low)
-                if diff & -diff & mark:
-                    refused |= 1 << x
-        return refused, limits
-
-    def first(self, field, length, prefix=(), mask=0, marks=None):
-        """The lexicographically first satisfying length-set below prefix, or None.
-
-        mask holds the prefix's points as bits and marks[e] those of its
-        image under element e.
-        """
-        if marks is None:
-            marks = [0] * len(self.lower)
-        images, clients = self.images, self.clients
+    def first(self, field, length, prefix=()):
+        """The lexicographically first satisfying length-set below prefix, or None."""
+        clients, generators = self.clients, self.generators
         leaf = len(prefix) + 1 == length
         if leaf:  # a prefix no single column completes for some client has no satisfying child
             for at, client in enumerate(clients):
@@ -717,9 +641,10 @@ class _OrderlyWalk:
                         clients.insert(0, clients.pop(at))
                     self.pruned += 1
                     return None
-        refused, limits = self._limits(prefix, mask, marks)
         for x in range(prefix[-1] + 1 if prefix else 0, self.n - length + len(prefix) + 1):
-            if refused >> x & 1 or limits and any(map(operator.lt, images[x], limits)):
+            child = prefix + (x,)
+            least = list(child)
+            if any(sorted(map(g.__getitem__, child)) < least for g in generators):
                 continue
             if leaf:
                 self.checked += 1
@@ -729,15 +654,9 @@ class _OrderlyWalk:
                             clients.insert(0, clients.pop(at))
                         break
                 else:
-                    return prefix + (x,)
+                    return child
             else:
-                found = self.first(
-                    field,
-                    length,
-                    prefix + (x,),
-                    mask | 1 << x,
-                    [m | 1 << y for m, y in zip(marks, images[x])],
-                )
+                found = self.first(field, length, child)
                 if found:
                     return found
         return None
@@ -759,8 +678,8 @@ def min_code_length_bruteforce(
     The answer is the plain scan's: the first l-subset of projective points,
     l = 1..l_max, in the lexicographic order of itertools.combinations, that
     satisfies every client.  The walk (`_OrderlyWalk`) visits only sorted
-    prefixes that no listed element of the monomial group G maps to a
-    smaller sorted tuple, and it still finds that set, for any listed subset
+    prefixes that no generator of the monomial group G maps to a smaller
+    sorted tuple, and it still finds that set, as it would for any subset
     of G, by three facts:
 
     - satisfying every client is G-invariant;
@@ -774,13 +693,11 @@ def min_code_length_bruteforce(
     bounds it per length: a length whose candidates would pass the budget
     raises SearchBudgetError carrying the lengths already exhausted.
     `checked` counts the candidates whose clients were checked,
-    `group_elements` the listed elements of G, the identity included, and
-    `pruned` the last-level prefixes left because some client could not be
-    satisfied by any one more column.  The
-    points are listed only once length 1 fits the budget, so an instance
-    far past it fails at once instead of listing (q^f - 1)/(q - 1) vectors.
-    Length 1 is scanned in full: listing the group costs about as much, so
-    it is listed, up to GROUP_ENTRY_CAP entries, only once length 2 fits.
+    `group_elements` the generators of G plus the identity, and `pruned`
+    the last-level prefixes left because some client could not be satisfied
+    by any one more column.  The points are listed only once length 1 fits
+    the budget, so an instance far past it fails at once instead of listing
+    (q^f - 1)/(q - 1) vectors.
     """
     family = instance.side_family()
     q, f = instance.q, instance.num_messages
@@ -801,8 +718,6 @@ def min_code_length_bruteforce(
         if walk is None:
             points = _projective_points(q, f)
             walk = _OrderlyWalk(instance, family, points)
-        elif l == 2:  # listing the group costs about a length-1 scan
-            walk.prune_by(_group_elements(instance, points))
         combo = walk.first(field, l)
         if combo is not None:
             witness = EncodingMatrix(tuple(points[i] for i in combo), q)

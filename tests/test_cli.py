@@ -61,7 +61,7 @@ def test_oracle_reports_search_work_on_stderr(capsys):
     # pruned and the witness is the only candidate checked
     assert doc["bruteforce"]["examined"] == 7 + 21 + 1
     assert "checked" not in doc["bruteforce"] and "pruned" not in doc["bruteforce"]
-    assert err == "search: checked 1 of 29 candidates, pruned 4 prefixes, 6 group elements\n"
+    assert err == "search: checked 1 of 29 candidates, pruned 4 prefixes, 3 group elements\n"
 
 
 @pytest.mark.parametrize(
@@ -109,6 +109,8 @@ def test_audit_command_pass_and_mutant(capsys):
         (("--mode", "statistical", "--trials", "0"), "error: --trials must be at least 1, got 0\n"),
         (("--q", "4"), "error: --q: q=4 is below 5, the longest code the usi scheme "
                        "needs for this instance\n"),
+        (("--cap", "-5"), "error: --cap must be at least 1, got -5\n"),
+        (("--mode", "statistical", "--cap", "0"), "error: --cap must be at least 1, got 0\n"),
     ],
 )
 def test_audit_flags_the_audit_cannot_run_are_config_errors(capsys, flags, message):
@@ -117,6 +119,16 @@ def test_audit_flags_the_audit_cannot_run_are_config_errors(capsys, flags, messa
     )
     assert code == 2 and out == ""
     assert err == message
+
+
+def test_audit_over_its_cap_is_a_config_error_on_stderr(capsys):
+    # (5,5)/(2,2) needs 200 enumerations: past --cap 10 nothing reaches stdout
+    code, out, err = run_cli(
+        capsys, "audit", "--class-sizes", "5,5", "--side-counts", "2,2", "--cap", "10"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: exact audit needs 200 enumerations (cap 10)")
+    assert err.count("\n") == 1
 
 
 def test_oracle_keeps_a_field_below_the_scheme_code(capsys):

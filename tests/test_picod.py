@@ -1,6 +1,12 @@
+import hashlib
 import itertools
+import json
 import math
+import pathlib
 import random
+import re
+import runpy
+import sys
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -22,9 +28,7 @@ from ppir.picod import (
     PicodInstance,
     SearchResult,
     _Walker,
-    GROUP_ENTRY_CAP,
     _decodable_set,
-    _group_elements,
     _group_generators,
     _group_tables,
     _insert,
@@ -538,6 +542,53 @@ def test_bruteforce_matches_reference_search():
     assert compared == 330 and over_budget > 0
 
 
+def _ordered_shapes(f_values):
+    """Every ordered class split of each f and every side profile, in the
+    order the converse benchmark builds them."""
+    for f in f_values:
+        for gamma in range(2, f + 1):
+            for split in itertools.combinations(range(1, f), gamma - 1):
+                sizes = tuple(b - a for a, b in zip((0,) + split, split + (f,)))
+                for counts in itertools.product(*[range(mu) for mu in sizes]):
+                    yield sizes, counts
+
+
+@pytest.mark.parametrize(
+    "searches, budget, digest",
+    [
+        (
+            [(2, range(2, 6)), (3, range(2, 5))],
+            2_000_000,
+            "72b8edc4c73a9f6c0b69c176d8500bdd5b0e46d7a84fd1baad92ec5a51907b3d",
+        ),
+        (
+            [(4, [4])],
+            10**12,
+            "9fffe766c22a76887a28f3809a118b5dfbe9af3eb33c408caa368f93dabf010d",
+        ),
+        (
+            [(3, [5])],
+            10**12,
+            "3cb683b48c2f2e37fe0e8ecebacdceb2db9496fb7d36363a96607f89a2f8aef1",
+        ),
+    ],
+    ids=["gf2-f5-gf3-f4", "gf4-f4", "gf3-f5"],
+)
+def test_bruteforce_search_results_are_pinned(searches, budget, digest):
+    # every search at t = Gamma up to the bound: the sha256 of the sorted-key
+    # to_json() lines, one per search, pins witnesses and examined counts
+    lines = []
+    for q, f_values in searches:
+        for sizes, counts in _ordered_shapes(f_values):
+            instance = inst(sizes, counts, q=q)
+            result = min_code_length_bruteforce(
+                instance, broadcast_lower_bound(instance), budget=budget
+            )
+            lines.append(json.dumps(result.to_json(), sort_keys=True))
+    blob = ("\n".join(lines) + "\n").encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
 def _reference_cases():
     """Every (instance, l_max) of test_bruteforce_matches_reference_search."""
     from conftest import compositions
@@ -562,6 +613,21 @@ def _search_or_budget(instance, l_max, budget):
         return "budget", str(err), err.examined, err.exhausted_lengths
 
 
+def _group_closure(instance, points):
+    """Every element of the monomial group other than the identity: the
+    breadth-first closure of the generators."""
+    generators = _group_generators(instance, points)
+    queue = [tuple(range(len(points)))]
+    seen = set(queue)
+    for element in queue:
+        for generator in generators:
+            product = tuple(map(generator.__getitem__, element))
+            if product not in seen:
+                seen.add(product)
+                queue.append(product)
+    return queue[1:]
+
+
 @pytest.mark.parametrize(
     "sizes, counts, q, order",
     [
@@ -572,16 +638,17 @@ def _search_or_budget(instance, l_max, budget):
     ],
 )
 def test_group_elements_permute_points_and_keep_the_side_family(sizes, counts, q, order):
-    # the whole group is listed; each element permutes the points, sends unit
-    # points to unit points (a coordinate map), carries the side family onto
-    # itself and keeps "every client satisfied" on column sets
+    # the generators close to the whole group; each element permutes the
+    # points, sends unit points to unit points (a coordinate map), carries
+    # the side family onto itself and keeps "every client satisfied" on
+    # column sets
     instance = inst(sizes, counts, q=q, t=1)
     points = _projective_points(q, instance.num_messages)
     index = {p: i for i, p in enumerate(points)}
     f, n = instance.num_messages, len(points)
     units = [index[tuple(int(i == m) for i in range(f))] for m in range(f)]
     family = set(instance.side_family())
-    elements = _group_elements(instance, points)
+    elements = _group_closure(instance, points)
     assert len(set(elements)) == len(elements) == order - 1 and tuple(range(n)) not in elements
     rng = random.Random(7)
     for element in elements:
@@ -598,21 +665,22 @@ def test_group_elements_permute_points_and_keep_the_side_family(sizes, counts, q
 
 def test_bruteforce_same_result_with_fewer_or_no_group_elements(monkeypatch):
     # pruning is sound for any subset of the group: no elements (the plain
-    # scan) and the generators alone give the same results as the closure
+    # scan) and the whole group give the same results as the generators
     cases = list(_reference_cases())
     want = [_search_or_budget(instance, l_max, 20_000) for instance, l_max in cases]
-    for builder in (lambda instance, points: [], _group_generators):
-        monkeypatch.setattr(picod, "_group_elements", builder)
+    for builder in (lambda instance, points: [], _group_closure):
+        monkeypatch.setattr(picod, "_group_generators", builder)
         got = [_search_or_budget(instance, l_max, 20_000) for instance, l_max in cases]
         assert got == want
     assert len(cases) == 330
 
 
 def test_bruteforce_checks_fewer_candidates_than_it_counts():
-    # (1,1,1,1,1)/(0,0,0,0,0) over GF(2): the five classes permute freely,
-    # 120 elements, so far fewer candidates are checked than the scan counts
+    # (1,1,1,1,1)/(0,0,0,0,0) over GF(2): four swaps of neighbouring classes
+    # generate the 120 class permutations, so far fewer candidates are
+    # checked than the scan counts
     result = min_code_length_bruteforce(inst((1, 1, 1, 1, 1), (0, 0, 0, 0, 0), q=2), 5)
-    assert result.min_length == 5 and result.group_elements == 120
+    assert result.min_length == 5 and result.group_elements == 5
     assert result.checked * 10 < result.examined
     # the work counts stay out of equality
     assert result == SearchResult(True, 5, result.witness, result.examined, (1, 2, 3, 4))
@@ -634,26 +702,27 @@ def _stub_lookahead(monkeypatch):
 
 
 def test_bruteforce_checks_one_candidate_per_orbit(monkeypatch):
-    # without the lookahead, length 1 is scanned in full and from length 2
-    # on, with the whole group listed, exactly the least set of each orbit
-    # is checked: (1,1,1,1)/(0,0,0,0) over GF(2) exhausts lengths 1-3 of 15
-    # points; the lookahead checks at most those
+    # without the lookahead and with the whole group as generators, exactly
+    # the least set of each orbit is checked: (1,1,1,1)/(0,0,0,0) over GF(2)
+    # exhausts lengths 1-3 of 15 points; the generators alone with the
+    # lookahead check at most those
     instance = inst((1, 1, 1, 1), (0, 0, 0, 0), q=2)
     points = _projective_points(2, 4)
-    group = [tuple(range(len(points)))] + _group_elements(instance, points)
+    group = [tuple(range(len(points)))] + _group_closure(instance, points)
     assert len(group) == 24
     orbits = {
         min(tuple(sorted(g[x] for x in combo)) for g in group)
-        for l in (2, 3)
+        for l in (1, 2, 3)
         for combo in itertools.combinations(range(len(points)), l)
     }
     result = min_code_length_bruteforce(instance, 3)
     assert not result.found and result.examined == 15 + 105 + 455
-    assert result.checked <= 15 + len(orbits) and result.group_elements == 24
+    assert result.checked <= len(orbits) and result.group_elements == 4
     _stub_lookahead(monkeypatch)
+    monkeypatch.setattr(picod, "_group_generators", _group_closure)
     plain = min_code_length_bruteforce(instance, 3)
     assert plain == result and plain.pruned == 0
-    assert plain.checked == 15 + len(orbits) and plain.group_elements == 24
+    assert plain.checked == len(orbits) and plain.group_elements == 24
 
 
 def test_bruteforce_same_result_without_the_lookahead(monkeypatch):
@@ -701,16 +770,6 @@ def test_hopeless_exactly_when_no_point_satisfies(case):
         assert client.hopeless(field, prefix) == (not fits)
 
 
-def test_group_listing_stays_under_the_entry_cap():
-    # (5,5)/(2,2) over GF(2): 5! * 5! * 2 = 28,800 elements on 1,023 points,
-    # about 29M entries; the listing stops at the cap with the generators in
-    instance = inst((5, 5), (2, 2), q=2)
-    points = _projective_points(2, 10)
-    elements = _group_elements(instance, points)
-    assert 0 < len(elements) * len(points) <= GROUP_ENTRY_CAP
-    assert set(_group_generators(instance, points)) <= set(elements)
-
-
 def test_lex_rank_matches_combinations_order():
     for n in range(1, 8):
         for l in range(1, n + 1):
@@ -737,6 +796,19 @@ def test_bruteforce_budget_checked_before_listing_points(monkeypatch):
         min_code_length_bruteforce(inst((5, 5), (2, 1), q=11), 3)
     assert err.value.exhausted_lengths == () and err.value.examined == 0
     assert "needs 2593742460 candidates" in str(err.value)
+
+
+def test_converse_scan_ends_with_a_summary_line(monkeypatch, capsys):
+    # 6 shapes with f <= 3 over two fields; a budget of 50 skips the six
+    # searches that need a length past it
+    script = pathlib.Path(__file__).parents[1] / "scripts" / "converse_scan.py"
+    main = runpy.run_path(str(script))["main"]
+    argv = ["converse_scan.py", "--max-messages", "3", "--fields", "2", "3", "--budget", "50"]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 13 and sum("skipped (" in line for line in lines) == 6
+    assert re.fullmatch(r"summary: 12 shapes, 6 skipped, 0 mismatches, search \d+\.\d\ds", lines[-1])
 
 
 def test_certificate_scheme_answer_case1():
