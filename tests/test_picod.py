@@ -545,10 +545,11 @@ def test_bruteforce_matches_reference_search():
 def _ordered_shapes(f_values):
     """Every ordered class split of each f and every side profile, in the
     order the converse benchmark builds them."""
+    from conftest import compositions
+
     for f in f_values:
         for gamma in range(2, f + 1):
-            for split in itertools.combinations(range(1, f), gamma - 1):
-                sizes = tuple(b - a for a, b in zip((0,) + split, split + (f,)))
+            for sizes in compositions(f, gamma):
                 for counts in itertools.product(*[range(mu) for mu in sizes]):
                     yield sizes, counts
 
