@@ -3,8 +3,8 @@
 
 Scans every class shape with at most --max-messages messages over the given
 fields, prints one line per instance and a closing summary line (instances,
-skipped, mismatches, total search seconds), and exits nonzero on any
-mismatch.
+skipped, mismatches, the searches' summed checked and pruned counts, total
+search seconds), and exits nonzero on any mismatch.
 Every witness found also goes through `rank_lower_bound_certificate`; a
 CertificateError counts as a mismatch.  The search space grows as
 (q^f)^l, so keep f small.
@@ -47,7 +47,7 @@ def main():
     parser.add_argument("--budget", type=int, default=2_000_000)
     args = parser.parse_args()
 
-    searched = skipped = mismatches = 0
+    searched = skipped = mismatches = checked = pruned = 0
     search_s = 0.0
     for sizes, counts in shapes(args.max_messages):
         for q in args.fields:
@@ -65,6 +65,8 @@ def main():
                 continue
             elapsed = time.perf_counter() - started
             search_s += elapsed
+            checked += result.checked
+            pruned += result.pruned
             found = result.min_length if result.found else f">{lower}"
             status = "ok" if result.found and result.min_length == lower else "MISMATCH"
             if result.found:
@@ -82,7 +84,7 @@ def main():
             )
     print(
         f"summary: {searched} shapes, {skipped} skipped, {mismatches} mismatches, "
-        f"search {search_s:.2f}s"
+        f"checked {checked}, pruned {pruned}, search {search_s:.2f}s"
     )
     return 1 if mismatches else 0
 

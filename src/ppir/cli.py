@@ -6,7 +6,9 @@ Subcommands: run (experiment config), capacity (rate calculators), oracle
 (`run` names each failing trial's checks on stderr), 2 configuration or
 format error, which covers every error `replay` raises and an instance the
 command-line parameters cannot describe, 3 internal error (an exception
-that is not a `PpirError`, reported on one line).  Each subcommand imports
+that is not a `PpirError`, reported on one line), 141 when the reader of
+stdout closed it early (128 + SIGPIPE, as a shell reports a pipe writer the
+signal ended), with nothing on stderr.  Each subcommand imports
 only the modules it uses, so `capacity` starts without loading the
 protocol, oracle, audit or config machinery.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import (
@@ -289,7 +292,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`ppir run cfg.yaml | head -1`): not a bug.
+        # Point stdout at devnull so the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except PpirError as exc:
         print(f"error: {exc}", file=sys.stderr)
         # replay's only inputs are its files, so anything it rejects is a format error

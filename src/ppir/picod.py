@@ -68,11 +68,9 @@ lookup per client checked, with the verdict a full insertion would give.  A
 last-level prefix for which some client has no residue group reaching the
 demand has no satisfying child, and the walk leaves it at once (`pruned`
 counts them); the first satisfying set and `examined` do not change.  The
-checks stop at the first unsatisfied or hopeless client, which then moves
-to the front of the list (fail first), since neighbouring candidates tend
-to fail on the same client and neither the verdict nor a client's bases
-depend on the order.  `linalg.echelon` stays the independent rank check
-behind `EncodingMatrix.rank`, run once per matrix.
+checks stop at the first unsatisfied or hopeless client.  `linalg.echelon`
+stays the independent rank check behind `EncodingMatrix.rank`, run once per
+matrix.
 """
 
 from __future__ import annotations
@@ -544,11 +542,10 @@ class SearchResult:
 
 class _PrefixSpans:
     """One client's side of the search: the points restricted to its kept
-    coordinates, each once and on first use, the echelon bases of the
-    current column prefix and that prefix's lookahead.  Adding a column x
-    to span(B) makes u_j decodable exactly when u_j lies in span(B) or the
-    residue of u_j (e_j off the pivots, e_j - row_j on them) is a nonzero
-    multiple of the residue of x."""
+    coordinates, the echelon bases of the current column prefix and that
+    prefix's lookahead.  Adding a column x to span(B) makes u_j decodable
+    exactly when u_j lies in span(B) or the residue of u_j (e_j off the
+    pivots, e_j - row_j on them) is a nonzero multiple of the residue of x."""
 
     def __init__(self, instance: PicodInstance, side_set, points):
         side = set(side_set)
@@ -557,17 +554,13 @@ class _PrefixSpans:
         self.classes = [class_of[i] for i in self.keep]
         self.demand = instance.demand_classes
         self.points = points
-        self.restricted = {}
         self.prefix = ()
         self.bases = [()]  # bases[d]: span of the first d prefix columns
         self.ahead = None  # the prefix's lookahead, built on first use
 
     def _column(self, i):
-        vec = self.restricted.get(i)
-        if vec is None:
-            point = self.points[i]
-            vec = self.restricted[i] = [point[j] for j in self.keep]
-        return vec
+        point = self.points[i]
+        return [point[j] for j in self.keep]
 
     def _lookahead(self, field, prefix):
         """True when prefix already satisfies the client, else the set of
@@ -634,13 +627,10 @@ class _OrderlyWalk:
         """The lexicographically first satisfying length-set below prefix, or None."""
         clients, generators = self.clients, self.generators
         leaf = len(prefix) + 1 == length
-        if leaf:  # a prefix no single column completes for some client has no satisfying child
-            for at, client in enumerate(clients):
-                if client.hopeless(field, prefix):
-                    if at:
-                        clients.insert(0, clients.pop(at))
-                    self.pruned += 1
-                    return None
+        # a prefix no single column completes for some client has no satisfying child
+        if leaf and any(client.hopeless(field, prefix) for client in clients):
+            self.pruned += 1
+            return None
         for x in range(prefix[-1] + 1 if prefix else 0, self.n - length + len(prefix) + 1):
             child = prefix + (x,)
             least = list(child)
@@ -648,12 +638,7 @@ class _OrderlyWalk:
                 continue
             if leaf:
                 self.checked += 1
-                for at, client in enumerate(clients):
-                    if not client.satisfied(field, prefix, x):
-                        if at:  # fail first: the rejecting client leads next time
-                            clients.insert(0, clients.pop(at))
-                        break
-                else:
+                if all(client.satisfied(field, prefix, x) for client in clients):
                     return child
             else:
                 found = self.first(field, length, child)
@@ -824,7 +809,7 @@ class _Walker:
             pools[j] = tuple(sorted(pool))
         return pools
 
-    def build_side_set(self, chosen, collected_by_class, pools, sacrificed, targets):
+    def build_side_set(self, collected_by_class, pools, sacrificed, targets):
         """One count-feasible set: collected overlap, then safe filler.
 
         Filler never touches indices that may still be collected: outside
@@ -833,28 +818,20 @@ class _Walker:
         Filler never runs short: a served class keeps back only its pool
         entries that are not sacrificed, at most its quota min(k + 1,
         mu - k) <= mu - k of them, so at least k members are left to fill
-        from; other classes keep back nothing.
+        from; other classes keep back nothing.  The slices need no
+        membership test: a collected index is a pick, so it lies in the
+        pool, and no sacrificed pick is ever collected, as it ends the walk.
         """
         parts = []
         for j, members in enumerate(self.inst.class_members):
             k = self.inst.side_counts[j]
-            have = collected_by_class.get(j, [])
-            part = list(have[: min(len(have), k)])
-            need = k - len(part)
-            if need > 0:
-                if j in pools:
-                    outside = [m for m in members if m not in pools[j]]
-                    sac = [m for m in sacrificed.get(j, ()) if m not in part]
-                    order = sac + outside if j in targets else outside + sac
-                else:
-                    order = [m for m in members]
-                for m in order:
-                    if need == 0:
-                        break
-                    if m not in part:
-                        part.append(m)
-                        need -= 1
-            parts.extend(part)
+            part = collected_by_class.get(j, [])[:k]
+            order = members
+            if j in pools:
+                outside = [m for m in members if m not in pools[j]]
+                sac = list(sacrificed.get(j, ()))
+                order = sac + outside if j in targets else outside + sac
+            parts += part + list(order[: k - len(part)])
         return tuple(sorted(parts))
 
     def run(self, chosen, quotas, pools, sacrificed):
@@ -872,7 +849,7 @@ class _Walker:
         trace = []
 
         def step(targets):
-            side = self.build_side_set(chosen, by_class, pools, sacrificed, set(targets))
+            side = self.build_side_set(by_class, pools, sacrificed, set(targets))
             got = [(j, self.pick(side, j)) for j in targets]
             if any(t is None or t in collected or t in sacrificed.get(j, ()) for j, t in got):
                 return False

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -212,6 +216,59 @@ def test_run_command_checks_flags_like_the_config_keys(tmp_path, capsys, flag, v
     assert json.loads((out_dir / "report.json").read_text())["config"]["trials"] == 0
 
 
+def _one_instance_config(tmp_path, extra=""):
+    config = tmp_path / "config.yaml"
+    config.write_text(
+        "seed: 5\ntrials: 2\n" + extra
+        + "instances:\n  - class_sizes: [3, 3]\n    side_counts: [1, 1]\n    q: 5\n"
+    )
+    return config
+
+
+def test_run_command_without_out_prints_the_report(tmp_path, capsys):
+    from ppir.harness import report_csv
+
+    config = _one_instance_config(tmp_path)
+    code, out, _ = run_cli(capsys, "run", str(config))
+    assert code == 0
+    report = json.loads(out)
+    assert report["all_passed"] and report["config"]["instances"] == ["c3x3-s1x1-L1-q5"]
+    code, csv_out, _ = run_cli(capsys, "run", str(config), "--format", "csv")
+    assert code == 0 and csv_out == report_csv(report)
+
+
+def test_run_command_format_flag_overrides_the_config(tmp_path, capsys):
+    config = _one_instance_config(tmp_path, "format: json\n")
+    out_dir = tmp_path / "out"
+    code, out, _ = run_cli(capsys, "run", str(config), "--format", "both", "--out", str(out_dir))
+    assert code == 0
+    assert out.splitlines() == [f"wrote {out_dir / 'report.json'}", f"wrote {out_dir / 'report.csv'}"]
+    assert sorted(p.name for p in out_dir.iterdir()) == ["report.csv", "report.json"]
+
+
+def test_run_command_reports_an_exact_audit_over_its_cap_as_skipped(tmp_path, capsys):
+    config = _one_instance_config(tmp_path, "audit: exact\naudit_cap: 1\n")
+    code, out, _ = run_cli(capsys, "run", str(config))
+    assert code == 0
+    (summary,) = json.loads(out)["instances"]
+    assert summary["audit"] == {
+        "skipped": "exact audit needs 18 enumerations (cap 1); fall back to audit_statistical"
+    }
+
+
+def test_run_command_without_records_keeps_the_failing_ones(tmp_path, capsys, monkeypatch):
+    from conftest import flip_first_decoded_symbol
+
+    flip_first_decoded_symbol(monkeypatch, 5)
+    config = _one_instance_config(tmp_path, "include_records: false\n")
+    code, out, _ = run_cli(capsys, "run", str(config))
+    assert code == 1
+    (summary,) = json.loads(out)["instances"]
+    assert "records" not in summary and summary["failures"] == 2
+    assert [r["index"] for r in summary["failing_records"]] == [0, 1]
+    assert not any(r["success"] for r in summary["failing_records"])
+
+
 def test_run_command_config_error(tmp_path, capsys):
     config = tmp_path / "bad.yaml"
     for text in (
@@ -253,6 +310,43 @@ def test_replay_command(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["new_from_class"] == [2, 2]
+
+
+def test_replay_command_fsi(tmp_path, capsys):
+    # an fsi query, its answer and a side document keyed by position
+    from conftest import make_world
+    from ppir.model import positional_side_info
+    from ppir.protocol import fsi_answer, fsi_query
+    from ppir.wire import answer_to_json, query_to_json, side_to_json
+
+    params, layout, store, side, _ = make_world((2, 2, 2), (1, 1, 0), q=7, seed=0)
+    side = positional_side_info(layout, side)
+    values = {(i, p): store.messages[layout.class_members[i][p]] for i, p in side.label_set}
+    query = fsi_query(2, side, params.class_sizes, 5)
+    argv = ["replay"]
+    for flag, doc in (
+        ("--query", query_to_json(query)),
+        ("--answer", answer_to_json(fsi_answer(query, store))),
+        ("--side", side_to_json(side, values)),
+    ):
+        path = tmp_path / f"{flag[2:]}.json"
+        path.write_text(json.dumps(doc))
+        argv += [flag, str(path)]
+    code, out, _ = run_cli(capsys, *argv, "--desired", "2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["new_from_class"][2] == 1
+    want = [
+        {"label": [i, p], "symbols": list(store.messages[layout.class_members[i][p]])}
+        for i, p in enumerate(query.picks)
+        if (i, p) not in values
+    ]
+    assert doc["decoded"] == want
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: fsi replay needs the desired class\n")
+    held = query.known_flags.index(True)  # a class whose pick the side document holds
+    code, out, err = run_cli(capsys, *argv, "--desired", str(held))
+    assert (code, out, err) == (2, "", f"error: fsi pick for class {held} was not new\n")
 
 
 def test_replay_command_desired_out_of_range(tmp_path, capsys):
@@ -592,6 +686,53 @@ def test_escaped_exception_is_an_internal_error(monkeypatch, capsys):
     )
     assert code == 3 and out == ""
     assert err == "internal error: RuntimeError: rate table corrupted\n"
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_exits_141_with_nothing_on_stderr(tmp_path, capsys, monkeypatch):
+    with open(tmp_path / "stdout", "wb") as target:
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", _ClosedPipe(target.fileno()))
+            code = main(["capacity", "--class-sizes", "3,3", "--side-counts", "1,1"])
+        os.write(target.fileno(), b"flushed at exit")  # now lands in devnull
+    assert code == 141
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "stdout").read_bytes() == b""
+
+
+def test_closed_stdout_pipe_is_quiet_through_the_exit_flush():
+    # a pipe whose read end is closed before the command starts: the report
+    # is flushed at the end of main, so the broken pipe is caught there
+    # instead of in the interpreter's own flush at exit
+    import ppir
+
+    src = str(pathlib.Path(ppir.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ppir.cli", "capacity", "--class-sizes", "3,3", "--side-counts", "1,1"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 @pytest.mark.parametrize(

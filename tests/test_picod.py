@@ -809,7 +809,10 @@ def test_converse_scan_ends_with_a_summary_line(monkeypatch, capsys):
     assert main() == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 13 and sum("skipped (" in line for line in lines) == 6
-    assert re.fullmatch(r"summary: 12 shapes, 6 skipped, 0 mismatches, search \d+\.\d\ds", lines[-1])
+    assert re.fullmatch(
+        r"summary: 12 shapes, 6 skipped, 0 mismatches, checked 7, pruned 7, search \d+\.\d\ds",
+        lines[-1],
+    )
 
 
 def test_certificate_scheme_answer_case1():
@@ -956,3 +959,85 @@ def test_certificate_report_serializes():
     assert doc["ok"] and doc["rank_floor"] == 2
     assert len(doc["trace"]) == len(cert.trace)
     assert all("side_set" in step for step in doc["trace"])
+
+
+def _certificate_digest(certs):
+    """sha256 of the sorted-key to_json() lines, one per certificate."""
+    lines = [json.dumps(cert.to_json(), sort_keys=True) for cert in certs]
+    return hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+
+
+def _random_classed_case(rng):
+    """A _classed_matrices-shaped draw from rng: a class partition of at most
+    6 coordinates over GF(2..4), side counts, and up to 5 columns, each
+    supported on one class, on every coordinate or on none."""
+    q = rng.choice((2, 3, 4))
+    f = rng.randint(1, 6)
+    order = rng.sample(range(f), f)
+    cuts = sorted(rng.sample(range(1, f), rng.randint(0, f - 1)))
+    members = tuple(tuple(sorted(order[a:b])) for a, b in zip([0, *cuts], [*cuts, f]))
+    columns = []
+    for _ in range(rng.randint(0, 5)):
+        col = [0] * f
+        for i in rng.choice([*members, range(f), ()]):
+            col[i] = rng.randrange(q)
+        columns.append(tuple(col))
+    side_counts = tuple(rng.randint(0, len(m)) for m in members)
+    return EncodingMatrix(tuple(columns), q), members, side_counts
+
+
+def _random_certificates(seed, draws):
+    """The certificate of every satisfying (draw, demand) pair, in order."""
+    rng = random.Random(seed)
+    for _ in range(draws):
+        matrix, members, side_counts = _random_classed_case(rng)
+        open_classes = sum(len(m) > k for m, k in zip(members, side_counts))
+        for t in range(1, open_classes + 1):
+            instance = PicodInstance(members, side_counts, t, matrix.q)
+            if all_clients_satisfied(matrix, instance):
+                yield rank_lower_bound_certificate(matrix, instance)
+
+
+def test_search_witness_certificates_are_pinned():
+    # the certificate of every witness of the gf2-f5-gf3-f4 search pin
+    certs = []
+    for q, f_values in [(2, range(2, 6)), (3, range(2, 5))]:
+        for sizes, counts in _ordered_shapes(f_values):
+            instance = inst(sizes, counts, q=q)
+            bound = broadcast_lower_bound(instance)
+            result = min_code_length_bruteforce(instance, bound, budget=2_000_000)
+            certs.append(rank_lower_bound_certificate(result.witness, instance))
+    assert _certificate_digest(certs) == (
+        "47b280b8ee8b6a2f1053624655dcba5a32112b909a8203c4fa0b43a3f545aca0"
+    )
+
+
+def test_scheme_answer_certificates_are_pinned():
+    # one seeded scheme answer per grid instance, certified at full demand
+    from ppir.harness import instance_id, trial_seed
+    from ppir.model import build_layout, random_store, sample_side_info
+
+    grid = grid_instances({"num_classes": [2, 3], "max_class_size": 5}, (1,), 1)
+    certs = []
+    for p in grid:
+        rng = random.Random(trial_seed(0, "certificate:" + instance_id(p), 0))
+        layout = build_layout(p, rng)
+        store = random_store(layout, rng)
+        side = sample_side_info(layout, rng)
+        matrix = answer_to_encoding_matrix(usi_answer(usi_query(0, side), store, rng), layout)
+        instance = PicodInstance(layout.class_members, p.side_counts, p.num_classes, p.q)
+        certs.append(rank_lower_bound_certificate(matrix, instance))
+    assert len(certs) == 800
+    assert _certificate_digest(certs) == (
+        "c382864685870d7596264c655f5254bebfd73dd4fcd9fd65a2655a33515447f6"
+    )
+
+
+def test_random_satisfying_matrix_certificates_are_pinned():
+    # random satisfying matrices, some of which leave the walk stuck and
+    # certify through the pool search
+    certs = list(_random_certificates(14, 3_000))
+    assert (len(certs), sum(c.strategy == "search" for c in certs)) == (1299, 7)
+    assert _certificate_digest(certs) == (
+        "04ef78a72c99da6aa41809c822cb9f056f528795ba0133389e33e53d16a283dc"
+    )
