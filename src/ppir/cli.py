@@ -147,6 +147,7 @@ def cmd_oracle(args) -> int:
         "generic_min_field_size": picod.generic_min_field_size(params.num_messages),
     }
     ok = lower <= upper
+    exhausted = ()
     if not args.skip_search:
         try:
             search = picod.min_code_length_bruteforce(
@@ -158,6 +159,7 @@ def cmd_oracle(args) -> int:
                 file=sys.stderr,
             )
             doc["bruteforce"] = search.to_json()
+            exhausted = search.exhausted_lengths
             if search.found:
                 doc["bruteforce_matches_bound"] = search.min_length == lower
                 ok = ok and search.min_length == lower
@@ -169,6 +171,15 @@ def cmd_oracle(args) -> int:
                 "skipped": str(exc),
                 "exhausted_lengths": list(exc.exhausted_lengths),
             }
+            exhausted = exc.exhausted_lengths
+    if upper in exhausted:
+        # the search found no length-`upper` code, so q is below the field the bound needs
+        ok = False
+        print(
+            f"upper bound {upper} refuted over GF({params.q}): the generic upper bound "
+            f"needs q >= {doc['generic_min_field_size']}",
+            file=sys.stderr,
+        )
     _emit(doc)
     return 0 if ok else 1
 

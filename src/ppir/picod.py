@@ -30,20 +30,29 @@ One span kernel serves every decodability question.  `_insert` adds one
 vector to a reduced echelon basis of (pivot, row) pairs, and u_j lies in the
 span exactly when j is a pivot whose row has no other nonzero entry.
 `_decodable_set` splits a matrix's coordinates into blocks joined by column
-supports (a scheme answer is block-diagonal by class), answers each block
-on its own and memoizes the answer on the matrix, so the client checks, the
-certificate walk and its verification share the eliminations.
+supports, answers each block on its own and memoizes the answer on the
+matrix.  The certificate's check of its collected set C is one rank
+instead: the columns kept on C contain every unit of C in their span
+exactly when they have rank |C|, so `_verify_collected` runs `linalg.rank`,
+the kernel behind `EncodingMatrix.rank`, not the one that built the tables
+the walk read.
 
 The client family is a product over classes, and it stays one over groups
-of classes joined by span blocks: what a client decodes in a group depends
-only on the side indices it holds there.  `_group_tables` therefore lists
-each group's partial side sets once (sum over groups of the product of
-C(mu_i, k_i), 30 instead of 1,000 sets for a (5,5,5)/(2,2,2) scheme answer)
-and records each one's first decodable pick per class.  The fewest classes
-any client hits is the sum of each group's fewest, which decides
-`all_clients_satisfied`; the certificate walk reads its picks and pools
-from the same memoized tables.  `client_satisfied` checks one client
-directly and stays the reference.
+of classes joined by column supports (a scheme answer is block-diagonal by
+class): what a client decodes in a group depends only on the side indices
+it holds there.  `_group_tables` therefore lists each group's partial side
+sets once (sum over groups of the product of C(mu_i, k_i), 30 instead of
+1,000 sets for a (5,5,5)/(2,2,2) scheme answer) and records each one's
+first decodable pick per class.  Written in member order, a group's
+columns depend only on its classes' codes or on which positions went
+uncoded, not on where the layout placed the members, so the tables are
+shared per class code across matrices: `_class_table` is a bounded cache
+keyed by the group's columns in member order, q and the classes' (mu_i,
+k_i), and it answers in local positions.  The fewest classes any client
+hits is the sum of each group's fewest, which decides
+`all_clients_satisfied`; the certificate walk maps member indices to local
+positions and back to read its picks and pools from the same tables.
+`client_satisfied` checks one client directly and stays the reference.
 
 The exhaustive search answers as the plain scan of column combinations in
 the lexicographic order of itertools.combinations would: the first set that
@@ -78,6 +87,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import types
 from dataclasses import dataclass, field
 
 from . import linalg
@@ -288,22 +298,20 @@ def _unit_pivots(basis):
     return [p for p, row in basis if len(row) - row.count(0) == 1]
 
 
-def _decodable_set(matrix: EncodingMatrix, side_set, block_ids=None) -> set:
+def _decodable_set(matrix: EncodingMatrix, side_set) -> set:
     """Indices outside side_set that a client holding side_set can recover.
 
     Dropping the side coordinates turns the question into u_m in the row
     space of the restricted broadcasts.  In reduced echelon form u_j lies in
     the row space exactly when column j is a pivot whose row has no other
     nonzero entry.  The span is the direct sum of the block spans, so each
-    block is answered on its own and memoized on the matrix; block_ids
-    limits the answer to those blocks' coordinates.
+    block is answered on its own and memoized on the matrix.
     """
     side = set(side_set)
     field = make_field(matrix.q)
     blocks, memo = matrix._span_blocks
     found = set()
-    for b in range(len(blocks)) if block_ids is None else block_ids:
-        coords, columns = blocks[b]
+    for b, (coords, columns) in enumerate(blocks):
         keep = tuple(itertools.filterfalse(side.__contains__, coords))
         hit = memo.get((b, keep))
         if hit is None:
@@ -338,43 +346,68 @@ def client_satisfied(matrix: EncodingMatrix, side_set, instance: PicodInstance) 
     return _hits(_first_picks(found, instance.class_members)) >= instance.demand_classes
 
 
+@functools.lru_cache(maxsize=1024)
+def _class_table(columns, q, shapes):
+    """One class group's decodability table, in local positions.
+
+    columns are the group's nonzero columns restricted to its coordinates
+    in member order (classes in index order, members in class order), and
+    shapes the classes' (mu_i, k_i), so local positions 0..mu_0 - 1 are
+    class 0's members, and so on.  Returns (table, fewest): table maps each
+    partial side set (sorted local positions) to the first decodable local
+    position of each class, None where none is, and fewest is the fewest
+    classes any entry hits.  The key holds every input, so one table serves
+    every matrix whose group has these columns in member order, whatever
+    its member placement.  The cache keeps the 1,024 most recently used
+    tables; each has at most FAMILY_CAP entries, since _group_tables checks
+    the cap on the full family before any lookup.
+    """
+    local = EncodingMatrix(columns, q)
+    ends = itertools.accumulate(mu for mu, _ in shapes)
+    blocks = [range(end - mu, end) for end, (mu, _) in zip(ends, shapes)]
+    per_class = [itertools.combinations(b, k) for b, (_, k) in zip(blocks, shapes)]
+    table = {}
+    for combo in itertools.product(*per_class):
+        partial = tuple(itertools.chain.from_iterable(combo))
+        table[partial] = _first_picks(_decodable_set(local, partial), blocks)
+    return types.MappingProxyType(table), min(map(_hits, table.values()))
+
+
 def _group_tables(matrix: EncodingMatrix, instance: PicodInstance):
     """Each class group's first decodable picks, per partial side set.
 
-    Classes whose coordinates share a span block form a group; what a
-    client decodes in a group's classes depends only on the side indices it
-    holds there, and the side family is the product of the groups'
-    families.  Returns (classes, table) per group, where table maps each
-    partial side set (sorted indices within the group's classes) to the
-    first decodable index of each of those classes.  FAMILY_CAP applies to
-    the full product; the tables are memoized with the span blocks.
+    Classes joined by some column's support form a group; what a client
+    decodes in a group's classes depends only on the side indices it holds
+    there, and the side family is the product of the groups' families.
+    Returns (classes, order, table, fewest) per group: order lists the
+    group's message indices in member order, and table and fewest are the
+    shared `_class_table` of the group's columns in that order, so table
+    keys and picks are positions in order.  FAMILY_CAP applies to the full
+    product and is checked before any table is looked up or listed.
     """
     instance.check_family_cap()
-    blocks, memo = matrix._span_blocks
-    key = ("groups", instance.class_members, instance.side_counts)
-    groups = memo.get(key)
-    if groups is not None:
-        return groups
-    class_of = {m: j for j, members in enumerate(instance.class_members) for m in members}
+    memo = matrix.__dict__.setdefault("_groups", {})  # instance -> its groups
+    key = instance.class_members, instance.side_counts
+    if key in memo:
+        return memo[key]
+    members = instance.class_members
+    class_of = {m: j for j, ms in enumerate(members) for m in ms}
+    supports = [(col, {class_of[i] for i, x in enumerate(col) if x}) for col in matrix.columns]
     label = list(range(instance.num_classes))  # class -> lowest class of its group
-    for coords, _ in blocks:
-        joined = {label[class_of[i]] for i in coords}
-        low = min(joined)
-        label = [low if g in joined else g for g in label]
+    for _, touched in supports:
+        joined = {label[j] for j in touched}
+        label = [min(joined) if g in joined else g for g in label]
     groups = []
     for g in sorted(set(label)):
         classes = tuple(j for j in range(instance.num_classes) if label[j] == g)
-        block_ids = [b for b, (coords, _) in enumerate(blocks) if label[class_of[coords[0]]] == g]
-        members = [instance.class_members[j] for j in classes]
-        per_class = [
-            itertools.combinations(instance.class_members[j], instance.side_counts[j])
-            for j in classes
-        ]
-        table = {}
-        for combo in itertools.product(*per_class):
-            partial = tuple(sorted(itertools.chain.from_iterable(combo)))
-            table[partial] = _first_picks(_decodable_set(matrix, partial, block_ids), members)
-        groups.append((classes, table))
+        order = tuple(m for j in classes for m in members[j])
+        columns = tuple(
+            tuple(col[m] for m in order)
+            for col, touched in supports
+            if not touched.isdisjoint(classes)
+        )
+        shapes = tuple((len(members[j]), instance.side_counts[j]) for j in classes)
+        groups.append((classes, order, *_class_table(columns, matrix.q, shapes)))
     memo[key] = groups
     return groups
 
@@ -386,9 +419,7 @@ def all_clients_satisfied(matrix: EncodingMatrix, instance: PicodInstance) -> bo
     group's share ranges over that group's partial side sets independently,
     so the fewest hits over the family is the sum of each group's fewest.
     """
-    fewest = sum(
-        min(map(_hits, table.values())) for _, table in _group_tables(matrix, instance)
-    )
+    fewest = sum(group[3] for group in _group_tables(matrix, instance))
     return fewest >= instance.demand_classes
 
 
@@ -787,25 +818,28 @@ class _Walker:
         self.inst = instance
         self.groups = _group_tables(matrix, instance)
         self.slot = {}  # class -> (group, position among the group's classes)
-        self.group_of = {}  # message index -> group
-        for g, (classes, _) in enumerate(self.groups):
+        self.local = {}  # message index -> (group, position in the group's order)
+        for g, (classes, order, _, _) in enumerate(self.groups):
             for at, j in enumerate(classes):
                 self.slot[j] = g, at
-                self.group_of.update(dict.fromkeys(instance.class_members[j], g))
+            for p, m in enumerate(order):
+                self.local[m] = g, p
 
     def pick(self, side, j):
         """First decodable index of class j for the client holding side."""
         g, at = self.slot[j]
-        group_of = self.group_of
-        return self.groups[g][1][tuple(m for m in side if group_of[m] == g)][at]
+        _, order, table, _ = self.groups[g]
+        partial = sorted(p for h, p in map(self.local.__getitem__, side) if h == g)
+        p = table[tuple(partial)][at]
+        return None if p is None else order[p]
 
     def decoded_pools(self, chosen):
         """Per chosen class, every index some client picks first there."""
         pools = {}
         for j in chosen:
             g, at = self.slot[j]
-            pool = {picks[at] for picks in self.groups[g][1].values()}
-            pool.discard(None)
+            _, order, table, _ = self.groups[g]
+            pool = {order[picks[at]] for picks in table.values() if picks[at] is not None}
             pools[j] = tuple(sorted(pool))
         return pools
 
@@ -878,10 +912,17 @@ class _Walker:
 
 
 def _verify_collected(matrix: EncodingMatrix, collected):
-    """Each collected unit vector lies in the span of the row-restricted columns."""
-    coords = set(collected)
-    others = [i for i in range(matrix.num_messages) if i not in coords]
-    return coords <= _decodable_set(matrix, others)
+    """Each collected unit vector lies in the span of the row-restricted columns.
+
+    The columns kept on the collected coordinates C hold every unit of C in
+    their span exactly when they span all of GF(q)^C, that is when the
+    l x |C| restriction has rank |C|: one `linalg.rank`, the kernel behind
+    `EncodingMatrix.rank`, not the `_insert` kernel that built the tables
+    the walk read.
+    """
+    coords = sorted(set(collected))
+    rows = [[col[i] for i in coords] for col in matrix.columns]
+    return linalg.rank(make_field(matrix.q), rows) == len(coords)
 
 
 def rank_lower_bound_certificate(

@@ -145,6 +145,26 @@ def test_oracle_keeps_a_field_below_the_scheme_code(capsys):
     assert doc["instance"]["q"] == 2 and doc["bruteforce"]["min_length"] == 4
 
 
+@pytest.mark.parametrize("extra", [(), ("--l-max", "4", "--budget", "100000")])
+def test_oracle_exits_1_when_its_search_refutes_the_upper_bound(capsys, extra):
+    # over GF(2) no code of length 3 serves (1,5)/(0,3), so the generic upper
+    # bound 3, which needs q >= 12, fails; with the budget the search stops
+    # at length 4 after exhausting lengths 1-3
+    code, out, err = run_cli(
+        capsys, "oracle", "--class-sizes", "1,5", "--side-counts", "0,3", "--q", "2", *extra
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert sorted(doc) == [
+        "bruteforce", "generic_min_field_size", "instance", "lower_bound", "upper_bound"
+    ]
+    assert doc["upper_bound"] == 3 and doc["bruteforce"]["exhausted_lengths"] == [1, 2, 3]
+    assert ("skipped" in doc["bruteforce"]) == bool(extra)
+    assert err.splitlines()[-1] == (
+        "upper bound 3 refuted over GF(2): the generic upper bound needs q >= 12"
+    )
+
+
 def test_audit_command_unknown_mutant(capsys):
     code, _, err = run_cli(
         capsys,

@@ -21,7 +21,7 @@ from ppir.errors import (
 )
 from ppir.fields import make_field
 from ppir.harness import grid_instances
-from ppir import picod
+from ppir import linalg, picod
 from ppir.model import InstanceParams
 from ppir.picod import (
     EncodingMatrix,
@@ -127,18 +127,62 @@ def test_group_tables_split_block_diagonal_matrices_by_class(monkeypatch):
     matrix = EncodingMatrix(((1, 0, 0, 0, 0), (0, 0, 1, 1, 1), (0, 0, 1, 2, 3)), 5)
     monkeypatch.setattr(picod, "FAMILY_CAP", 6)
     groups = _group_tables(matrix, instance)
-    assert [classes for classes, _ in groups] == [(0,), (1,)]
-    assert groups[0][1] == {(0,): (None,), (1,): (0,)}
-    assert sorted(groups[1][1]) == [(2,), (3,), (4,)]
+    assert [group[:2] for group in groups] == [((0,), (0, 1)), ((1,), (2, 3, 4))]
+    assert sum(len(table) for _, _, table, _ in groups) == 5
+    # tables are keyed and answered in positions of each group's order
+    assert groups[0][2] == {(0,): (None,), (1,): (0,)}
+    assert sorted(groups[1][2]) == [(0,), (1,), (2,)]
+    assert [fewest for *_, fewest in groups] == [0, 1]
     assert all_clients_satisfied(matrix, instance) is False  # holding 0 leaves class 0 dry
-    assert all_clients_satisfied(matrix, inst((2, 3), (1, 1), q=5, t=1))
+    served_once = inst((2, 3), (1, 1), q=5, t=1)
+    assert all_clients_satisfied(matrix, served_once)
+    walker = _Walker(matrix, served_once)
+    assert [walker.pick(side, 0) for side in [(0, 2), (1, 2)]] == [None, 0]
     # one cross-class column joins both classes into a single group
     joined = EncodingMatrix(matrix.columns + ((0, 1, 1, 0, 0),), 5)
-    assert [classes for classes, _ in _group_tables(joined, instance)] == [(0, 1)]
+    assert [classes for classes, *_ in _group_tables(joined, instance)] == [(0, 1)]
     # the memo never skips the cap, which applies to the full product
     monkeypatch.setattr(picod, "FAMILY_CAP", 5)
     with pytest.raises(EnumerationCapError, match="6 side sets exceed cap 5"):
         all_clients_satisfied(matrix, instance)
+
+
+def _scheme_case(class_sizes, side_counts, seed):
+    params, layout, store, side, _ = make_world(class_sizes, side_counts, seed=seed)
+    matrix = answer_to_encoding_matrix(usi_answer(usi_query(0, side), store, seed), layout)
+    t = len(class_sizes)
+    return matrix, PicodInstance(layout.class_members, side_counts, t, params.q)
+
+
+def test_class_tables_are_shared_across_layouts(monkeypatch):
+    # every class of (5,5,3)/(2,2,1) sends parity: written in member order a
+    # class block holds its code's parity columns wherever the layout puts
+    # the members, so a second layout of the shape reuses all three tables
+    picod._class_table.cache_clear()
+    (first, inst0), (second, inst1) = (_scheme_case((5, 5, 3), (2, 2, 1), s) for s in (3, 4))
+    assert inst0.class_members != inst1.class_members
+    assert all_clients_satisfied(first, inst0)
+    before = picod._class_table.cache_info()
+    assert before.currsize == before.misses == 2  # the two (5, 2) classes share a code
+    assert all_clients_satisfied(second, inst1)
+    after = picod._class_table.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (before.hits + 3, 2, 2)
+    # a column across classes 0 and 1 makes one joined entry of C(5,2)^2 sets
+    cross = [0] * 13
+    for members in inst0.class_members[:2]:
+        cross[members[0]] = 1
+    joined = EncodingMatrix(first.columns + (tuple(cross),), first.q)
+    groups = _group_tables(joined, inst0)
+    assert [(classes, len(table)) for classes, _, table, _ in groups] == [((0, 1), 100), ((2,), 3)]
+    assert picod._class_table.cache_info().currsize == 3
+    with pytest.raises(TypeError):  # shared tables are read-only
+        groups[0][2][()] = ()
+    # the cap is checked before any table is looked up or listed
+    crossed = EncodingMatrix(second.columns + (tuple(cross),), second.q)
+    monkeypatch.setattr(picod, "FAMILY_CAP", 299)
+    with pytest.raises(EnumerationCapError, match="300 side sets exceed cap 299"):
+        all_clients_satisfied(crossed, inst1)
+    assert picod._class_table.cache_info()[:2] == (after.hits + 1, 3)
 
 
 def test_instance_validation():
@@ -262,7 +306,6 @@ def _explicit_decoding_combination(matrix, side_set, m):
     Independent witness for the rank-based decodability test: returns
     (broadcast_coeffs, side_coeffs) or None.
     """
-    from ppir import linalg
     from ppir.fields import make_field
 
     field = make_field(matrix.q)
@@ -479,6 +522,37 @@ def test_span_blocks_follow_column_supports():
     assert _decodable_set(matrix, (0,)) == {1, 3}
     assert _decodable_set(matrix, (1, 2)) == {0, 3}
     assert memo == {(0, (0, 3)): (0, 3), (1, (1,)): (1,), (0, (3,)): (3,), (1, ()): ()}
+
+
+def _collected_check_agrees(matrix, collected):
+    """The rank form of the collected-set check, asserted against the span
+    kernel and _verify_collected; returns its verdict."""
+    others = [i for i in range(matrix.num_messages) if i not in collected]
+    restricted = [[col[i] for i in collected] for col in matrix.columns]
+    full = linalg.rank(make_field(matrix.q), restricted) == len(collected)
+    assert full == (set(collected) <= _decodable_set(matrix, others))
+    assert picod._verify_collected(matrix, collected) == full
+    return full
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_collected_check_is_one_rank(data):
+    # every unit of C lies in the span of the columns kept on C exactly when
+    # that l x |C| restriction has rank |C|
+    q = data.draw(st.sampled_from((2, 3, 4, 5)), label="q")
+    f = data.draw(st.integers(1, 6), label="f")
+    columns = data.draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * f), max_size=5))
+    collected = data.draw(st.lists(st.integers(0, f - 1), unique=True), label="C")
+    _collected_check_agrees(EncodingMatrix(tuple(columns), q), collected)
+
+
+def test_collected_check_accepts_and_refuses():
+    matrix = EncodingMatrix(((1, 1, 0), (0, 1, 1)), 4)
+    assert _collected_check_agrees(matrix, [0, 2])
+    assert _collected_check_agrees(matrix, [])
+    assert not _collected_check_agrees(matrix, [0, 1, 2])  # three units, rank 2
+    assert not _collected_check_agrees(EncodingMatrix(((1, 1, 0), (1, 1, 1)), 2), [0, 1])
 
 
 def test_insert_keeps_reduced_echelon_form():
