@@ -2,8 +2,9 @@
 """Exact privacy audits across a grid, plus mutant-server sanity checks.
 
 Prints one line per enumerable instance (total-variation distance must be
-exactly zero) and then confirms each shipped mutant fails on a reference
-instance.
+exactly zero), then confirms each shipped mutant fails on a reference
+instance, and ends with a summary line: instances audited and skipped,
+mutants caught, and the seconds the grid's audits took.
 
 Example:
     python3 scripts/privacy_sweep.py --max-class-size 4 --cap 20000
@@ -11,6 +12,7 @@ Example:
 
 import argparse
 import sys
+import time
 
 from ppir.audit import MUTANT_SERVERS, audit_exact, exact_audit_work
 from ppir.harness import grid_instances
@@ -25,16 +27,22 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    failures = 0
+    failures = audited = skipped = caught = 0
+    audit_s = 0.0
     grid = {"num_classes": args.num_classes, "max_class_size": args.max_class_size}
     for params in grid_instances(grid, (1,), 1):
         shape = f"{params.class_sizes}/{params.side_counts}"
         layout = build_layout(params, args.seed)
         work = exact_audit_work(layout)
         if work > args.cap:
+            skipped += 1
             print(f"{shape}: skipped (work {work})")
             continue
-        verdict = audit_exact(random_store(layout, args.seed + 1), cap=args.cap)
+        store = random_store(layout, args.seed + 1)
+        started = time.perf_counter()
+        verdict = audit_exact(store, cap=args.cap)
+        audit_s += time.perf_counter() - started
+        audited += 1
         if not verdict.passed:
             failures += 1
         print(f"{shape}: {verdict.verdict} tv={verdict.answer_tv_distance} work={work}")
@@ -43,10 +51,16 @@ def main():
     store = random_store(build_layout(params, args.seed + 2), args.seed + 3)
     for cls in MUTANT_SERVERS:
         verdict = audit_exact(store, server=cls())
-        caught = "caught" if not verdict.passed else "MISSED"
         if verdict.passed:
             failures += 1
-        print(f"mutant {cls.name}: {caught} (tv={verdict.answer_tv_distance})")
+        else:
+            caught += 1
+        status = "MISSED" if verdict.passed else "caught"
+        print(f"mutant {cls.name}: {status} (tv={verdict.answer_tv_distance})")
+    print(
+        f"summary: {audited} audited, {skipped} skipped, {caught} mutants caught, "
+        f"audit {audit_s:.2f}s"
+    )
     return 1 if failures else 0
 
 

@@ -22,21 +22,27 @@ that leaky server implementations are expressible; three shipped mutants
 (class-biased selection, side-dependent parity row count, class tag in the
 answer) demonstrate the audit fails them, making the audit itself testable.
 
-The audits pay once per distinct input, not once per enumerated triple,
-while still asking the server for every triple and every trial.  The
-honest UsiServer memoizes its answers per store, keyed by (query, choice),
-and returns the same Answer object on every repeat; both audits serialize
-each answer object once, keyed by its id with a weak reference beside the
-bytes, so a reused id never returns another answer's bytes.  audit_exact
-keeps one wire blob and one list of server choices per distinct query
+The exact audit pays once per distinct answer list, not once per
+enumerated triple.  It asks the server once per (v, S) pair, through
+answers_for, for the tuple of answers over all of the server's choices,
+and counts the answers' bytes unless the server returned the very tuple
+counted last.  The honest UsiServer reads neither v nor S, so it memoizes
+that tuple per store and query, and the honest audit counts one list.  A
+class that overrides answer_for (each mutant does) is asked per choice,
+with v and S, and returns a fresh tuple on every pair, which is counted;
+so is a list, which a server can refill in place.  Distributions are
+still counted over the canonical bytes, so verdicts are unchanged.
+audit_statistical asks answer_for once per trial; under the list memo the
+honest server keeps one answer per (query, choice).  Both audits
+serialize each answer object once, keyed by its id with a weak reference
+beside the bytes, so a reused id never returns another answer's bytes.
+audit_exact keeps one wire blob and one choice tuple per distinct query
 value (an honest audit has one), and query invariance means one distinct
 blob.  audit_statistical serializes each distinct query once and digests
 each distinct (query bytes, answer bytes) pair once; equal bytes give the
-same digest, so the estimate is unchanged.  Distributions are still
-counted over the canonical bytes, so verdicts are unchanged.  The mutants
-override answer_for and call usi_answer themselves: they build a fresh
-answer per call, which the identity-keyed bytes never match, so every leak
-they add is serialized and counted.
+same digest, so the estimate is unchanged.  The mutants build a fresh
+answer per call, which the identity-keyed bytes never match, so every
+leak they add is serialized and counted.
 
 audit_fsi_query_exact checks the positional (fsi) scheme's query: it
 enumerates fsi_query's own random choices (fsi_choice_space) through the
@@ -53,7 +59,7 @@ import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import EnumerationCapError, ParameterError
+from .errors import EnumerationCapError, ParameterError, ProtocolViolationError
 from .model import (
     DatabaseLayout,
     MessageStore,
@@ -76,19 +82,22 @@ from .wire import answer_to_json, canonical_bytes, query_to_json
 
 BUCKETS = 64  # audit_statistical's digest buckets
 BLOCKS = 16  # audit_statistical's blocks, each one store and one server draw
+MIN_TRIALS = 2 * BLOCKS  # audit_statistical's least trials: two per block
 
 
 class UsiServer:
     """Honest server: answers from (query, store, randomness) alone.
 
     answer_for builds each (query, choice) answer once per store and returns
-    the same Answer object on every repeat; handing it another store object
-    starts a fresh memo.
+    the same Answer object on every repeat; answers_for does the same for a
+    query's whole choice tuple.  Handing either another store object starts
+    fresh memos.
     """
 
     name = "honest"
     _memo_store = None
     _memo = None
+    _lists = None
 
     def choice_space(self, query: Query, layout: DatabaseLayout):
         spaces = []
@@ -102,12 +111,33 @@ class UsiServer:
 
     def answer_for(self, query, store, choice, v=None, side=None):
         if store is not self._memo_store:
-            self._memo_store, self._memo = store, {}
+            self._memo_store, self._memo, self._lists = store, {}, {}
         key = (query, choice)
         answer = self._memo.get(key)
         if answer is None:
             answer = self._memo[key] = usi_answer(query, store, selections=choice)
         return answer
+
+    def answers_for(self, query, store, choices, v=None, side=None) -> tuple:
+        """answer_for(query, store, choice, v, side) for each choice, as a tuple.
+
+        The honest answer_for reads neither v nor S, so while a class keeps
+        it, the tuple is memoized per store and query and returned again for
+        the same `choices` tuple (the memo holds it, so identity is sound).
+        A class that overrides answer_for is asked per choice, with v and S,
+        on every call: whatever it adds to the honest answer reaches the
+        audit.
+        """
+        if type(self).answer_for is not UsiServer.answer_for:
+            return tuple(self.answer_for(query, store, choice, v, side) for choice in choices)
+        if store is not self._memo_store:
+            self._memo_store, self._memo, self._lists = store, {}, {}
+        hit = self._lists.get(query)
+        if hit is not None and hit[0] is choices and type(choices) is tuple:
+            return hit[1]
+        answers = tuple(self.answer_for(query, store, choice) for choice in choices)
+        self._lists[query] = (choices, answers)
+        return answers
 
 
 class ClassBiasedServer(UsiServer):
@@ -206,6 +236,9 @@ class AuditVerdict:
     buckets: int = 0
     server: str = "honest"
     notes: dict = field(default_factory=dict)
+    # the exact audit's answer lists counted and distinct answers, for
+    # stderr; to_json() leaves them out
+    effort: dict = field(default_factory=dict, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -267,9 +300,12 @@ def audit_exact(
         )
     sides = enumerate_side_info_sets(layout, cap=cap)
     answer_bytes = _answer_serializer()
-    answer_for = server.answer_for
-    queries = {}  # distinct query -> (its wire bytes, the server's choice list)
+    answers_for = server.answers_for
+    queries = {}  # distinct query -> (its wire bytes, the server's choice tuple)
     distributions = {}
+    last = None  # the answer tuple counted last, held so that its id is not reused
+    counted = 0
+    distinct = set()
     for v in range(params.num_classes):
         for s_idx, side in enumerate(sides):
             query = usi_query(v, side, demand=demand)
@@ -277,15 +313,27 @@ def audit_exact(
             if seen is None:
                 seen = queries[query] = (
                     canonical_bytes(query_to_json(query)),
-                    list(itertools.product(*server.choice_space(query, layout))),
+                    tuple(itertools.product(*server.choice_space(query, layout))),
                 )
             choices = seen[1]
-            counts = {}
-            for choice in choices:
-                blob = answer_bytes(answer_for(query, store, choice, v, side))
-                counts[blob] = counts.get(blob, 0) + 1
-            key = tuple(sorted(counts.items()))
-            distributions.setdefault(key, []).append((v, s_idx, counts, len(choices)))
+            answers = answers_for(query, store, choices, v, side)
+            if len(answers) != len(choices):
+                raise ProtocolViolationError(
+                    f"server {server.name!r} gave {len(answers)} answers "
+                    f"for {len(choices)} choices"
+                )
+            # a tuple is immutable, so the one counted last needs no recount;
+            # a list, or any other tuple, is counted afresh
+            if answers is not last or type(answers) is not tuple:
+                counts = {}
+                for answer in answers:
+                    blob = answer_bytes(answer)
+                    counts[blob] = counts.get(blob, 0) + 1
+                group = distributions.setdefault(tuple(sorted(counts.items())), [])
+                last = answers
+                counted += 1
+                distinct.update(counts)
+            group.append((v, s_idx, counts, len(choices)))
     query_invariant = len({blob for blob, _ in queries.values()}) == 1
 
     # pairs with identical distributions have distance zero, so the table
@@ -318,6 +366,7 @@ def audit_exact(
             "work": work,
             "groups": [[(v, s) for v, s, _, _ in group] for group in reps],
         },
+        effort={"lists_counted": counted, "distinct_answers": len(distinct)},
     )
 
 
@@ -354,19 +403,20 @@ def audit_statistical(
     or S shifts the digest within blocks and contributes roughly the
     leaked entropy.  Without the pairing, fresh store randomness hashed
     into the digest would mask any leak.  The digest is taken mod BUCKETS.
+    A block of one trial has zero mutual information for any server, so
+    fewer than MIN_TRIALS = 2 * BLOCKS trials is a ParameterError.
 
     The estimate is the block-conditional plug-in mutual information in
     q-ary units; the pass threshold is twice its first-order bias bound,
     sum_b w_b (Kx_b - 1)(Ky_b - 1) / (N_b ln q), floored at one
     pseudo-count 1/(N ln q).
     """
-    if trials < 1:
-        raise ParameterError("trials must be positive")
+    if trials < MIN_TRIALS:
+        raise ParameterError(f"trials must be at least {MIN_TRIALS}, got {trials}")
     server = server or UsiServer()
     params = layout.params
     rng = as_rng(seed)
-    blocks = max(1, min(BLOCKS, trials))
-    sizes = [trials // blocks + (1 if b < trials % blocks else 0) for b in range(blocks)]
+    sizes = [trials // BLOCKS + (1 if b < trials % BLOCKS else 0) for b in range(BLOCKS)]
     answer_bytes = _answer_serializer()
     query_blobs = {}  # each distinct query serialized once
     buckets = {}  # each distinct (query bytes, answer bytes) pair digested once
@@ -413,7 +463,7 @@ def audit_statistical(
         trials=trials,
         buckets=BUCKETS,
         server=server.name,
-        notes={"alphabet_x": kx_max, "alphabet_y": ky_max, "blocks": blocks},
+        notes={"alphabet_x": kx_max, "alphabet_y": ky_max, "blocks": BLOCKS},
     )
 
 

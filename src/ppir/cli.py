@@ -185,13 +185,13 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    from .audit import MUTANT_SERVERS, audit_exact, audit_statistical
+    from .audit import MIN_TRIALS, MUTANT_SERVERS, audit_exact, audit_statistical
     from .model import build_layout, random_store
     from .protocol import longest_code_length
 
-    for flag, value in (("--trials", args.trials), ("--cap", args.cap)):
-        if value < 1:
-            raise ConfigError(f"{flag} must be at least 1, got {value}")
+    for flag, value, least in (("--trials", args.trials, MIN_TRIALS), ("--cap", args.cap, 1)):
+        if value < least:
+            raise ConfigError(f"{flag} must be at least {least}, got {value}")
     params = _params_from_args(args)
     # here, not in _params_from_args: oracle searches a field below the scheme's on purpose
     need = longest_code_length(params.class_sizes, params.side_counts)
@@ -215,6 +215,13 @@ def cmd_audit(args) -> int:
             verdict = audit_exact(store, server=server, cap=args.cap)
         except EnumerationCapError as exc:  # the audit --cap asks for cannot run
             raise ConfigError(str(exc)) from exc
+        notes, effort = verdict.notes, verdict.effort
+        print(
+            f"audit: work {notes['work']} of cap {args.cap}, {notes['pairs']} (v, S) pairs, "
+            f"{effort['lists_counted']} answer lists counted, "
+            f"{effort['distinct_answers']} distinct answers",
+            file=sys.stderr,
+        )
     else:
         verdict = audit_statistical(
             layout, args.trials, args.seed + 1, server=server

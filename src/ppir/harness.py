@@ -116,6 +116,14 @@ _BOOL = _typed(bool, "true or false")
 _SEED = _integer(0)
 _TRIALS = _integer(0)
 _BUDGET = _integer(1)
+
+
+def _audit_trials(value, path):
+    from .audit import MIN_TRIALS  # here: importing the harness does not load the audit
+
+    _integer(MIN_TRIALS)(value, path)
+
+
 _CHECK_CONFIG = _mapping(
     {
         "seed": _SEED,
@@ -145,7 +153,7 @@ _CHECK_CONFIG = _mapping(
         ),
         "oracle": _mapping({"enabled": _BOOL, "budget": _BUDGET, "l_max": _integer(1)}),
         "audit": _one_of("off", "exact", "statistical"),
-        "audit_trials": _integer(1),
+        "audit_trials": _audit_trials,
         "audit_cap": _integer(1),
         "output": _typed(str, "a string"),
         "format": _one_of("json", "csv", "both"),

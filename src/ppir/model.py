@@ -61,6 +61,8 @@ def sample_positions(rng: random.Random, mu: int, k: int) -> tuple[int, ...]:
     """
     if not 0 <= k <= mu:
         raise ParameterError(f"cannot sample {k} of {mu} positions")
+    if not k:  # neither branch draws for k = 0
+        return ()
     if mu > 21:
         return tuple(sorted(rng.sample(range(mu), k)))
     getrandbits = rng.getrandbits

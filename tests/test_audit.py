@@ -1,10 +1,13 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
 from conftest import make_world
+from ppir import audit
 from ppir.audit import (
+    MIN_TRIALS,
     ClassBiasedServer,
     ClassTagServer,
     FSI_MUTANT_USERS,
@@ -17,7 +20,7 @@ from ppir.audit import (
     audit_statistical,
     exact_audit_work,
 )
-from ppir.errors import EnumerationCapError, ParameterError
+from ppir.errors import EnumerationCapError, ParameterError, PpirError, ProtocolViolationError
 from ppir.model import InstanceParams, build_layout, random_store, sample_side_info
 from ppir.protocol import Answer, Query, usi_answer, usi_query
 from ppir.wire import answer_to_json, canonical_bytes, query_from_json, query_to_json
@@ -66,6 +69,112 @@ def test_audits_ask_the_server_for_every_triple_and_trial(server_cls):
     stat = audit_statistical(layout, 1_000, 12, server=server)
     assert server.calls == 1_000
     assert stat.passed == (server_cls is UsiServer), server_cls.name
+
+
+# sha256 of each verdict document, recorded before the exact audit asked
+# for whole choice lists; the honest documents name no parameters, so the
+# two (5,5,5) shapes with the same pair count and support share a digest
+HONEST_VERDICTS = {
+    ((4, 5, 5), (1, 0, 1)): "db1fe354a01e6fae8ab796dd767e3c08e6651aba835584837e2bedab7c9ffd4b",
+    ((4, 5, 5), (1, 1, 4)): "745dc5d95cc14f2aecc107298b4d96b40977feb064d067bfc546ebcc9cf6721d",
+    ((5, 5, 5), (1, 2, 2)): "3cbffccfe3e380e40c8d23a71c52dc81de34ffad082d5494e4f159bfaf25e4f0",
+    ((5, 5, 5), (1, 2, 3)): "3cbffccfe3e380e40c8d23a71c52dc81de34ffad082d5494e4f159bfaf25e4f0",
+}
+MUTANT_VERDICTS = {  # on (4,2)/(0,1), seed 3
+    "class-biased-selection": "356148fb732f0145619d0cf29803c5995618a6441cc3175657ba2b533d1050e1",
+    "side-parity-drop": "8c2d973d29481ba0f408c337bfbd67c7839a2ca3c1fe335d3689deff555c0694",
+    "class-tag": "ae91a6f2f0b34eba7292c61c477423933b0db2f4b75aa58306047064c0ed7373",
+}
+
+
+def _verdict_sha(verdict):
+    return hashlib.sha256(json.dumps(verdict.to_json(), sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("shape", sorted(HONEST_VERDICTS))
+def test_exact_verdicts_match_the_recorded_digests(shape):
+    params, layout, store, _, _ = make_world(*shape, seed=20)
+    assert _verdict_sha(audit_exact(store)) == HONEST_VERDICTS[shape]
+
+
+def test_mutant_verdicts_match_the_recorded_digests():
+    params, layout, store, _, _ = make_world((4, 2), (0, 1), seed=3)
+    got = {cls.name: _verdict_sha(audit_exact(store, server=cls())) for cls in MUTANT_SERVERS}
+    assert got == MUTANT_VERDICTS
+
+
+def test_honest_batch_builds_each_answer_once(monkeypatch):
+    params, layout, store, _, _ = make_world((4, 5, 5), (1, 0, 1), seed=20)
+    builds = []
+    real = audit.usi_answer
+    monkeypatch.setattr(audit, "usi_answer", lambda *a, **kw: builds.append(1) or real(*a, **kw))
+
+    class CountingBatches(UsiServer):
+        batches = 0
+
+        def answers_for(self, query, store, choices, v=None, side=None):
+            self.batches += 1
+            return super().answers_for(query, store, choices, v, side)
+
+    server = CountingBatches()
+    verdict = audit_exact(store, server=server)
+    pairs = verdict.notes["pairs"]
+    support = exact_audit_work(layout) // pairs
+    assert support == 300 and pairs == 60
+    assert len(builds) == support == verdict.effort["distinct_answers"]
+    assert server.batches == pairs
+    assert verdict.effort == {"lists_counted": 1, "distinct_answers": 300}
+    assert verdict.passed and verdict.to_json() == audit_exact(store, server=ReferenceServer()).to_json()
+
+
+def _tagged(answer, v):
+    return Answer(answer.q, answer.msg_len, answer.payloads, answer.extras + (("v", v),))
+
+
+class TagInBatchServer(UsiServer):
+    """The honest batch, then v tagged into every answer."""
+
+    name = "tag-in-batch"
+
+    def answers_for(self, query, store, choices, v=None, side=None):
+        return tuple(_tagged(a, v) for a in super().answers_for(query, store, choices, v, side))
+
+
+class OneListServer(UsiServer):
+    """Tags v like TagInBatchServer, into one list it refills on every call."""
+
+    name = "one-list"
+
+    def __init__(self):
+        self.out = []
+
+    def answers_for(self, query, store, choices, v=None, side=None):
+        self.out[:] = [_tagged(a, v) for a in super().answers_for(query, store, choices, v, side)]
+        return self.out
+
+
+@pytest.mark.parametrize("server_cls", (TagInBatchServer, OneListServer))
+def test_leak_added_to_the_batch_fails(server_cls):
+    params, layout, store, _, _ = make_world((4, 2), (0, 1), seed=3)
+    verdict = audit_exact(store, server=server_cls())
+    assert not verdict.passed and verdict.answer_tv_distance == 1
+    assert verdict.effort["lists_counted"] == verdict.notes["pairs"]
+
+
+@pytest.mark.parametrize(
+    "resize, size",
+    [(lambda a: a[:-1], 3), (lambda a: a + a[:1], 5), (lambda a: [], 0)],
+    ids=("short", "long", "empty"),
+)
+def test_batch_of_the_wrong_length_is_refused(resize, size):
+    class WrongLength(UsiServer):
+        def answers_for(self, query, store, choices, v=None, side=None):
+            return resize(super().answers_for(query, store, choices, v, side))
+
+    params, layout, store, _, _ = make_world((4, 2), (0, 1), seed=3)
+    with pytest.raises(ProtocolViolationError, match=f"gave {size} answers for 4 choices") as info:
+        audit_exact(store, server=WrongLength())
+    assert isinstance(info.value, PpirError)
 
 
 def test_query_read_back_from_the_wire_is_the_same_key():
@@ -207,6 +316,19 @@ def test_statistical_audit_requires_trials():
     layout = build_layout(params, 1)
     with pytest.raises(ParameterError):
         audit_statistical(layout, 0, 1)
+
+
+def test_statistical_audit_needs_two_trials_per_block():
+    # with one trial per block the block-conditional estimate is 0 for any
+    # server: 16 trials passed every mutant
+    params, layout, _, _, _ = make_world((4, 2), (0, 1), seed=0)
+    assert MIN_TRIALS == 32
+    for trials in (1, 16, 31):
+        with pytest.raises(ParameterError, match="at least 32"):
+            audit_statistical(layout, trials, 1, server=ClassTagServer())
+    assert audit_statistical(layout, 32, 1).passed
+    for cls in MUTANT_SERVERS:
+        assert not audit_statistical(layout, 32, 1, server=cls()).passed, cls.name
 
 
 def test_verdict_serialization():

@@ -110,7 +110,8 @@ def test_audit_command_pass_and_mutant(capsys):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (("--mode", "statistical", "--trials", "0"), "error: --trials must be at least 1, got 0\n"),
+        (("--mode", "statistical", "--trials", "0"), "error: --trials must be at least 32, got 0\n"),
+        (("--mode", "statistical", "--trials", "16"), "error: --trials must be at least 32, got 16\n"),
         (("--q", "4"), "error: --q: q=4 is below 5, the longest code the usi scheme "
                        "needs for this instance\n"),
         (("--cap", "-5"), "error: --cap must be at least 1, got -5\n"),
@@ -123,6 +124,34 @@ def test_audit_flags_the_audit_cannot_run_are_config_errors(capsys, flags, messa
     )
     assert code == 2 and out == ""
     assert err == message
+
+
+@pytest.mark.parametrize("mutant", ("class-biased-selection", "side-parity-drop", "class-tag"))
+def test_statistical_audit_at_its_least_trials_fails_every_mutant(capsys, mutant):
+    # 16 trials, one per block, printed "verdict": "pass" for every mutant
+    argv = ("audit", "--class-sizes", "4,2", "--side-counts", "0,1", "--mode", "statistical")
+    code, out, _ = run_cli(capsys, *argv, "--trials", "32", "--mutant", mutant)
+    assert code == 1 and json.loads(out)["verdict"] == "fail"
+    code, out, _ = run_cli(capsys, *argv, "--trials", "32")
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
+
+
+def test_exact_audit_reports_its_work_on_stderr(capsys):
+    argv = ("audit", "--class-sizes", "4,2", "--side-counts", "0,1")
+    code, out, err = run_cli(capsys, *argv, "--cap", "100")
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
+    assert err == (
+        "audit: work 16 of cap 100, 4 (v, S) pairs, 1 answer lists counted, 4 distinct answers\n"
+    )
+    code, out, err = run_cli(capsys, *argv, "--mutant", "class-tag")
+    assert code == 1
+    assert err == (
+        "audit: work 16 of cap 50000, 4 (v, S) pairs, 4 answer lists counted, "
+        "8 distinct answers\n"
+    )
+    # the statistical audit prints nothing there
+    code, out, err = run_cli(capsys, *argv, "--mode", "statistical", "--trials", "32")
+    assert code == 0 and err == ""
 
 
 def test_audit_over_its_cap_is_a_config_error_on_stderr(capsys):

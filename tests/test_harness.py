@@ -127,6 +127,8 @@ _REJECTED = [
     ("oracle l_max minimum", _with(("oracle",), {"l_max": 0}), "oracle.l_max"),
     ("audit enum", _with(("audit",), "full"), "audit"),
     ("audit_trials minimum", _with(("audit_trials",), 0), "audit_trials"),
+    # one trial per block gives a zero estimate for every server
+    ("audit_trials one per block", _with(("audit_trials",), 31), "audit_trials"),
     ("audit_cap minimum", _with(("audit_cap",), 0), "audit_cap"),
     ("output type", _with(("output",), 3), "output"),
     ("format enum", _with(("format",), "xml"), "format"),
