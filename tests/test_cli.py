@@ -111,11 +111,11 @@ def test_audit_command_pass_and_mutant(capsys):
     "flags, message",
     [
         (("--mode", "statistical", "--trials", "0"), "error: --trials must be at least 32, got 0\n"),
-        (("--mode", "statistical", "--trials", "16"), "error: --trials must be at least 32, got 16\n"),
         (("--q", "4"), "error: --q: q=4 is below 5, the longest code the usi scheme "
                        "needs for this instance\n"),
         (("--cap", "-5"), "error: --cap must be at least 1, got -5\n"),
         (("--mode", "statistical", "--cap", "0"), "error: --cap must be at least 1, got 0\n"),
+        (("--mode", "statistical", "--trials", "16"), "error: --trials must be at least 32, got 16\n"),
     ],
 )
 def test_audit_flags_the_audit_cannot_run_are_config_errors(capsys, flags, message):
