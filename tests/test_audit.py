@@ -85,6 +85,29 @@ MUTANT_VERDICTS = {  # on (4,2)/(0,1), seed 3
     "side-parity-drop": "8c2d973d29481ba0f408c337bfbd67c7839a2ca3c1fe335d3689deff555c0694",
     "class-tag": "ae91a6f2f0b34eba7292c61c477423933b0db2f4b75aa58306047064c0ed7373",
 }
+# sha256 of honest statistical verdicts, recorded while every trial asked the
+# server: (class sizes, side counts, q, layout seed, trials, audit seed) ->
+# digest.  (8,8,8)/(2,2,2) has 3 * 28**3 (v, S) pairs, so its draws do not
+# repeat within a block; the (10,10) shapes repeat theirs
+HONEST_STATISTICAL_VERDICTS = {
+    ((10, 10), (1, 0), 2, 6, 10_000, 7):
+        "c7b3de777f1e6c3e53c16f33295df196749d277703d8185c48e9164aa132bbb3",
+    ((10, 10), (8, 0), 13, 11, 4_000, 13):
+        "4bcdbf1106f16e2941f0029b8c8277703998d4c29846fdee30e75a4f7e95959f",
+    ((8, 8, 8), (2, 2, 2), 2, 21, 2_000, 22):
+        "9e74e2c9ea40ac29785e458720abfad5c82a0412ffd75ea3df4a3908d4ef089e",
+}
+MUTANT_STATISTICAL_VERDICTS = {  # on (4,2)/(0,1), layout seed 3, audit seed 1
+    (32, "class-biased-selection"):
+        "d8b13662ca194f637ec2727e682e2e325cabcb4c6737c0fffb020458128c7673",
+    (32, "side-parity-drop"): "cff80176d3958735ed80442da9208521c26e431d450baf253960dedfdecce504",
+    (32, "class-tag"): "273cfadd670599c6e56bfd146eefdb58ed882828d8692187ccd177ac0c82c600",
+    (1_000, "class-biased-selection"):
+        "2d201b9b70c5358ac5d15cf9e2fed9cac9754d60b962788e0f849da3ebe6317c",
+    (1_000, "side-parity-drop"):
+        "5f1db63981f58fea1814bb84ad805699b527149a69a0a8967879776071016264",
+    (1_000, "class-tag"): "4ca4cde0b5417724d1e864515ffd19e4f02c1f308200118bc2a98a583d4d8ab1",
+}
 
 
 def _verdict_sha(verdict):
@@ -101,6 +124,25 @@ def test_mutant_verdicts_match_the_recorded_digests():
     params, layout, store, _, _ = make_world((4, 2), (0, 1), seed=3)
     got = {cls.name: _verdict_sha(audit_exact(store, server=cls())) for cls in MUTANT_SERVERS}
     assert got == MUTANT_VERDICTS
+
+
+@pytest.mark.parametrize("case", sorted(HONEST_STATISTICAL_VERDICTS))
+def test_statistical_verdicts_match_the_recorded_digests(case):
+    class_sizes, side_counts, q, layout_seed, trials, seed = case
+    layout = build_layout(InstanceParams(class_sizes, side_counts, q=q), layout_seed)
+    verdict = audit_statistical(layout, trials, seed)
+    assert verdict.passed and _verdict_sha(verdict) == HONEST_STATISTICAL_VERDICTS[case]
+
+
+def test_mutant_statistical_verdicts_match_the_recorded_digests():
+    params, layout, _, _, _ = make_world((4, 2), (0, 1), seed=3)
+    assert params.q == 3
+    got = {
+        (trials, cls.name): _verdict_sha(audit_statistical(layout, trials, 1, server=cls()))
+        for trials in (32, 1_000)
+        for cls in MUTANT_SERVERS
+    }
+    assert got == MUTANT_STATISTICAL_VERDICTS
 
 
 def test_honest_batch_builds_each_answer_once(monkeypatch):
