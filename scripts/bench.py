@@ -12,8 +12,11 @@ included.  For every workload of BENCHMARK.json the script runs
 side in each of `--pairs` pairs, both sides on the same seed, alternating
 which side goes first.  The file
 holds, per workload and metric, each side's median and quartiles, the
-change/parent ratio of the medians and how many pairs the change won;
-every run's summary metrics and `stamp` are kept under "runs".
+change/parent ratio of the medians, how many pairs the change won (ties
+count for neither side) and whether its median is better than the
+parent's by more than the parent's interquartile range
+(`gain_exceeds_parent_iqr`); every run's summary metrics and `stamp` are
+kept under "runs".
 """
 
 from __future__ import annotations
@@ -88,6 +91,7 @@ def compare(parent_runs, change_runs, spec) -> dict:
         p, c = spread(before), spread(after)
         ratio = c["median"] / p["median"] if p["median"] else None
         worse = None if ratio is None else (ratio - 1 if lower else 1 - ratio)
+        gain = p["median"] - c["median"] if lower else c["median"] - p["median"]
         out[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
@@ -96,7 +100,7 @@ def compare(parent_runs, change_runs, spec) -> dict:
             "change_over_parent": ratio,
             "change_wins": wins,
             "pairs": len(before),
-            "median_gap_exceeds_parent_iqr": abs(c["median"] - p["median"]) > p["q3"] - p["q1"],
+            "gain_exceeds_parent_iqr": gain > p["q3"] - p["q1"],
             "within_bound": worse is None or worse <= metric["bound"],
         }
     return out

@@ -32,8 +32,11 @@ class that overrides answer_for (each mutant does) is asked per choice,
 with v and S, and returns a fresh tuple on every pair, which is counted;
 so is a list, which a server can refill in place.  Distributions are
 still counted over the canonical bytes, so verdicts are unchanged.
-audit_statistical asks answer_for once per trial; under the list memo the
-honest server keeps one answer per (query, choice).  Both audits
+audit_statistical draws each block's (v, S) pairs first, then asks
+answer_for once per distinct draw of the block while the server keeps the
+honest answer_for, which reads neither v nor S, and counts that answer
+once per trial that drew the pair; a class that overrides answer_for is
+asked on every trial, in draw order.  Both audits
 serialize each answer object once, keyed by its id with a weak reference
 beside the bytes, so a reused id never returns another answer's bytes.
 audit_exact keeps one wire blob and one choice tuple per distinct query
@@ -56,6 +59,7 @@ import hashlib
 import itertools
 import math
 import weakref
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -68,6 +72,8 @@ from .model import (
     positional_side_info,
     random_store,
     sample_side_info,
+    sample_side_positions,
+    side_from_positions,
 )
 from .protocol import (
     Query,
@@ -236,8 +242,9 @@ class AuditVerdict:
     buckets: int = 0
     server: str = "honest"
     notes: dict = field(default_factory=dict)
-    # the exact audit's answer lists counted and distinct answers, for
-    # stderr; to_json() leaves them out
+    # what the audit did, for stderr: the exact audit's answer lists counted
+    # and distinct answers, the statistical audit's trials, distinct (v, S)
+    # draws and server asks; to_json() leaves them out
     effort: dict = field(default_factory=dict, compare=False)
 
     @property
@@ -406,6 +413,13 @@ def audit_statistical(
     A block of one trial has zero mutual information for any server, so
     fewer than MIN_TRIALS = 2 * BLOCKS trials is a ParameterError.
 
+    Each block draws all its (v, S) pairs before asking the server.  The
+    honest answer_for reads neither v nor S, so while the server keeps it,
+    each distinct draw is asked once and its (v, S, digest) cell counts
+    every trial that drew it; a class that overrides answer_for is asked on
+    every trial, in draw order.  Either way the histogram, and so the
+    verdict, is the one a per-trial loop gives.
+
     The estimate is the block-conditional plug-in mutual information in
     q-ary units; the pass threshold is twice its first-order bias bound,
     sum_b w_b (Kx_b - 1)(Ky_b - 1) / (N_b ln q), floored at one
@@ -420,6 +434,8 @@ def audit_statistical(
     answer_bytes = _answer_serializer()
     query_blobs = {}  # each distinct query serialized once
     buckets = {}  # each distinct (query bytes, answer bytes) pair digested once
+    honest = type(server).answer_for is UsiServer.answer_for
+    distinct = asks = 0
     mi_sum = 0.0
     bias_sum = 0.0
     kx_max = ky_max = 0
@@ -428,10 +444,19 @@ def audit_statistical(
         probe = usi_query(0, sample_side_info(layout, rng), demand=demand)
         spaces = server.choice_space(probe, layout)
         choice = tuple(space[rng.randrange(len(space))] for space in spaces)
-        counts = {}
-        for _ in range(n_b):
-            v = rng.randrange(params.num_classes)
-            side = sample_side_info(layout, rng)
+        draws = [
+            (rng.randrange(params.num_classes), sample_side_positions(layout, rng))
+            for _ in range(n_b)
+        ]
+        tally = Counter(draws)  # trials per distinct (v, S) draw, in first-seen order
+        distinct += len(tally)
+        # honest: one ask per distinct draw; overriding: one ask per trial
+        asked = tally.items() if honest else zip(draws, itertools.repeat(1))
+        counts = {}  # ((v, S positions), digest bucket) -> trials
+        for x, n in asked:
+            asks += 1
+            v, positions = x
+            side = side_from_positions(layout, positions)
             query = usi_query(v, side, demand=demand)
             answer = server.answer_for(query, store, choice, v, side)
             qb = query_blobs.get(query)
@@ -442,8 +467,7 @@ def audit_statistical(
             if y is None:
                 digest = hashlib.blake2b(qb + ab, digest_size=8).digest()
                 y = buckets[(qb, ab)] = int.from_bytes(digest, "big") % BUCKETS
-            x = (v, side.label_set)
-            counts[(x, y)] = counts.get((x, y), 0) + 1
+            counts[(x, y)] = counts.get((x, y), 0) + n
         w = n_b / trials
         mi_sum += w * _plugin_mi_qary(counts, params.q)
         kx = len({x for x, _ in counts})
@@ -464,6 +488,7 @@ def audit_statistical(
         buckets=BUCKETS,
         server=server.name,
         notes={"alphabet_x": kx_max, "alphabet_y": ky_max, "blocks": BLOCKS},
+        effort={"trials": trials, "distinct_draws": distinct, "server_asks": asks},
     )
 
 

@@ -226,6 +226,13 @@ def cmd_audit(args) -> int:
         verdict = audit_statistical(
             layout, args.trials, args.seed + 1, server=server
         )
+        effort = verdict.effort
+        print(
+            f"audit: {effort['trials']} trials in {verdict.notes['blocks']} blocks, "
+            f"{effort['distinct_draws']} distinct (v, S) draws, "
+            f"{effort['server_asks']} server asks",
+            file=sys.stderr,
+        )
     doc = verdict.to_json()
     if args.mode == "exact" and len(doc.get("tv_table", [])) > 50:
         doc["tv_table"] = doc["tv_table"][:50] + ["... truncated"]

@@ -238,14 +238,17 @@ def side_from_positions(layout: DatabaseLayout, positions_by_class) -> SideInfo:
     return SideInfo(tuple(counts), tuple(sorted(labels)))
 
 
+def sample_side_positions(layout: DatabaseLayout, rng: random.Random) -> tuple:
+    """The held within-class positions of one uniform side-information draw, per class."""
+    params = layout.params
+    return tuple(
+        map(sample_positions, itertools.repeat(rng), params.class_sizes, params.side_counts)
+    )
+
+
 def sample_side_info(layout: DatabaseLayout, seed) -> SideInfo:
     """Uniform draw over all side-information sets with the instance's profile."""
-    rng = as_rng(seed)
-    params = layout.params
-    positions = [
-        sample_positions(rng, mu, k) for mu, k in zip(params.class_sizes, params.side_counts)
-    ]
-    return side_from_positions(layout, positions)
+    return side_from_positions(layout, sample_side_positions(layout, as_rng(seed)))
 
 
 def enumerate_side_info_sets(layout: DatabaseLayout, cap=100_000):

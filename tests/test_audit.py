@@ -353,6 +353,25 @@ def test_statistical_audit_catches_parity_drop():
     assert honest.passed
 
 
+def test_statistical_audit_asks_the_honest_server_once_per_distinct_draw(monkeypatch):
+    # (10,10)/(1,0) has 2 * 10 (v, S) pairs, so a block of 625 trials repeats them
+    layout = build_layout(InstanceParams((10, 10), (1, 0), q=2), 6)
+    asks = []
+    real = UsiServer.answer_for
+    # patched on the class itself, so the server still counts as honest
+    monkeypatch.setattr(
+        UsiServer, "answer_for", lambda self, *a, **kw: asks.append(1) or real(self, *a, **kw)
+    )
+    verdict = audit_statistical(layout, 10_000, 7)
+    effort = verdict.effort
+    assert effort["trials"] == 10_000 and effort["server_asks"] == len(asks)
+    assert effort["server_asks"] == effort["distinct_draws"] <= 16 * 20
+    monkeypatch.undo()
+    reference = audit_statistical(layout, 10_000, 7, server=ReferenceServer())
+    assert reference.effort == {**effort, "server_asks": 10_000}
+    assert verdict.passed and verdict.to_json() == reference.to_json()
+
+
 def test_statistical_audit_requires_trials():
     params = InstanceParams((4, 4), (1, 1), q=7)
     layout = build_layout(params, 1)

@@ -149,9 +149,15 @@ def test_exact_audit_reports_its_work_on_stderr(capsys):
         "audit: work 16 of cap 50000, 4 (v, S) pairs, 4 answer lists counted, "
         "8 distinct answers\n"
     )
-    # the statistical audit prints nothing there
-    code, out, err = run_cli(capsys, *argv, "--mode", "statistical", "--trials", "32")
-    assert code == 0 and err == ""
+    # the statistical audit asks the honest server once per distinct draw of
+    # a block, an overriding one on every trial
+    stat = ("--mode", "statistical", "--trials", "32")
+    code, out, err = run_cli(capsys, *argv, *stat)
+    assert code == 0
+    assert err == "audit: 32 trials in 16 blocks, 30 distinct (v, S) draws, 30 server asks\n"
+    code, out, err = run_cli(capsys, *argv, *stat, "--mutant", "class-tag")
+    assert code == 1
+    assert err == "audit: 32 trials in 16 blocks, 30 distinct (v, S) draws, 32 server asks\n"
 
 
 def test_audit_over_its_cap_is_a_config_error_on_stderr(capsys):

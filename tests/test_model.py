@@ -16,6 +16,8 @@ from ppir.model import (
     random_store,
     sample_positions,
     sample_side_info,
+    sample_side_positions,
+    side_from_positions,
 )
 
 # upper chi-square quantiles at alpha = 1e-3
@@ -227,6 +229,31 @@ def test_sample_positions_rejects_impossible_counts():
     for mu, k in ((3, 4), (3, -1), (30, 31)):
         with pytest.raises(ParameterError):
             sample_positions(random.Random(0), mu, k)
+
+
+@st.composite
+def side_profile(draw):
+    # class sizes on both sides of 21, where sample_positions changes branch
+    sizes = draw(st.lists(st.integers(1, 30), min_size=2, max_size=4))
+    return sizes, [draw(st.integers(0, mu - 1)) for mu in sizes]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=SEEDS, profile=side_profile())
+@example(seed=0, profile=([10, 10], [1, 0]))
+@example(seed=1, profile=([8, 8, 8], [2, 2, 2]))
+def test_side_positions_draw_as_stdlib_sample_and_rebuild_the_side(seed, profile):
+    # sample_side_positions then side_from_positions is sample_side_info,
+    # with the same draws: the statistical audit draws positions alone
+    sizes, counts = profile
+    layout = build_layout(InstanceParams(sizes, counts), 0)
+    split, whole, ref = random.Random(seed), random.Random(seed), random.Random(seed)
+    positions = sample_side_positions(layout, split)
+    assert positions == tuple(
+        tuple(sorted(ref.sample(range(mu), k))) for mu, k in zip(sizes, counts)
+    )
+    assert side_from_positions(layout, positions) == sample_side_info(layout, whole)
+    assert split.getstate() == whole.getstate() == ref.getstate()
 
 
 @settings(max_examples=80, deadline=None)
