@@ -15,8 +15,12 @@ holds, per workload and metric, each side's median and quartiles, the
 change/parent ratio of the medians, how many pairs the change won (ties
 count for neither side) and whether its median is better than the
 parent's by more than the parent's interquartile range
-(`gain_exceeds_parent_iqr`); every run's summary metrics and `stamp` are
-kept under "runs".
+(`gain_exceeds_parent_iqr`).  A metric is `unresolved` when the parent's
+interquartile range, as a share of the parent's median, exceeds the
+metric's bound and not every change run beats every parent run: the runs
+then spread too widely to tell a change within the bound from one beyond
+it.  Every run's summary metrics and `stamp` are kept under "runs", and
+each side's failed operations per workload under "failed".
 """
 
 from __future__ import annotations
@@ -92,6 +96,8 @@ def compare(parent_runs, change_runs, spec) -> dict:
         ratio = c["median"] / p["median"] if p["median"] else None
         worse = None if ratio is None else (ratio - 1 if lower else 1 - ratio)
         gain = p["median"] - c["median"] if lower else c["median"] - p["median"]
+        iqr = p["q3"] - p["q1"]
+        beats_every_run = max(after) < min(before) if lower else min(after) > max(before)
         out[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
@@ -100,8 +106,9 @@ def compare(parent_runs, change_runs, spec) -> dict:
             "change_over_parent": ratio,
             "change_wins": wins,
             "pairs": len(before),
-            "gain_exceeds_parent_iqr": gain > p["q3"] - p["q1"],
+            "gain_exceeds_parent_iqr": gain > iqr,
             "within_bound": worse is None or worse <= metric["bound"],
+            "unresolved": iqr > metric["bound"] * p["median"] and not beats_every_run,
         }
     return out
 
@@ -143,10 +150,13 @@ def main(argv=None) -> int:
         }
     Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     for workload, result in doc["workloads"].items():
+        failed = result["failed"]
+        print(f"{workload:14} failed operations: parent {failed['parent']}, change {failed['change']}")
         for name, m in result["metrics"].items():
             print(
                 f"{workload:14} {name:18} {m['parent']['median']:10.4g} -> {m['change']['median']:10.4g}"
                 f"  wins {m['change_wins']}/{m['pairs']}  within bound: {m['within_bound']}"
+                f"  unresolved: {m['unresolved']}"
             )
     return 0
 

@@ -22,30 +22,21 @@ that leaky server implementations are expressible; three shipped mutants
 (class-biased selection, side-dependent parity row count, class tag in the
 answer) demonstrate the audit fails them, making the audit itself testable.
 
-The exact audit pays once per distinct answer list, not once per
-enumerated triple.  It asks the server once per (v, S) pair, through
-answers_for, for the tuple of answers over all of the server's choices,
-and counts the answers' bytes unless the server returned the very tuple
-counted last.  The honest UsiServer reads neither v nor S, so it memoizes
-that tuple per store and query, and the honest audit counts one list.  A
-class that overrides answer_for (each mutant does) is asked per choice,
-with v and S, and returns a fresh tuple on every pair, which is counted;
-so is a list, which a server can refill in place.  Distributions are
-still counted over the canonical bytes, so verdicts are unchanged.
-audit_statistical draws each block's (v, S) pairs first, then asks
-answer_for once per distinct draw of the block while the server keeps the
-honest answer_for, which reads neither v nor S, and counts that answer
-once per trial that drew the pair; a class that overrides answer_for is
-asked on every trial, in draw order.  Both audits
-serialize each answer object once, keyed by its id with a weak reference
-beside the bytes, so a reused id never returns another answer's bytes.
-audit_exact keeps one wire blob and one choice tuple per distinct query
-value (an honest audit has one), and query invariance means one distinct
-blob.  audit_statistical serializes each distinct query once and digests
-each distinct (query bytes, answer bytes) pair once; equal bytes give the
-same digest, so the estimate is unchanged.  The mutants build a fresh
-answer per call, which the identity-keyed bytes never match, so every
-leak they add is serialized and counted.
+Both audits ask the server through answer_for(query, store, choice, v,
+side), and one predicate, _reads_query_alone, decides how often.  While
+the server's bound answer_for is the shipped UsiServer.answer_for, which
+reads neither v nor S, a (v, S) pair's answers depend on its query alone:
+audit_exact builds one answer distribution per distinct query (a Counter of
+canonical answer bytes over usi_choice_space; an honest audit has one
+query) and audit_statistical one digest bucket per distinct query per
+block, counted for every trial that drew a pair with that query.  Any
+other answer_for (a subclass override, as in each mutant, or a function set
+on the instance) is asked once per (v, S, choice) triple and once per
+statistical trial, with v and S, so whatever it adds to the answer is
+counted.  Distributions are counted over canonical bytes either way, so
+the verdicts are those of the per-triple and per-trial loops.  Each
+distinct query is serialized once; query invariance means one distinct
+blob.
 
 audit_fsi_query_exact checks the positional (fsi) scheme's query: it
 enumerates fsi_query's own random choices (fsi_choice_space) through the
@@ -58,12 +49,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import EnumerationCapError, ParameterError, ProtocolViolationError
+from .errors import EnumerationCapError, ParameterError
 from .model import (
     DatabaseLayout,
     MessageStore,
@@ -76,12 +66,11 @@ from .model import (
     side_from_positions,
 )
 from .protocol import (
-    Query,
     class_plan,
     fsi_choice_space,
     fsi_query,
-    uncoded_choice_space,
     usi_answer,
+    usi_choice_space,
     usi_query,
 )
 from .wire import answer_to_json, canonical_bytes, query_to_json
@@ -94,56 +83,14 @@ MIN_TRIALS = 2 * BLOCKS  # audit_statistical's least trials: two per block
 class UsiServer:
     """Honest server: answers from (query, store, randomness) alone.
 
-    answer_for builds each (query, choice) answer once per store and returns
-    the same Answer object on every repeat; answers_for does the same for a
-    query's whole choice tuple.  Handing either another store object starts
-    fresh memos.
+    answer_for is handed the true (v, side) so that leaky servers are
+    expressible; the shipped one reads neither.
     """
 
     name = "honest"
-    _memo_store = None
-    _memo = None
-    _lists = None
-
-    def choice_space(self, query: Query, layout: DatabaseLayout):
-        spaces = []
-        for mu, k in zip(layout.params.class_sizes, query.side_counts):
-            mode, _ = class_plan(mu, k, query.demand)
-            if mode == "uncoded":
-                spaces.append(uncoded_choice_space(mu, k, query.demand))
-            else:
-                spaces.append([None])
-        return spaces
 
     def answer_for(self, query, store, choice, v=None, side=None):
-        if store is not self._memo_store:
-            self._memo_store, self._memo, self._lists = store, {}, {}
-        key = (query, choice)
-        answer = self._memo.get(key)
-        if answer is None:
-            answer = self._memo[key] = usi_answer(query, store, selections=choice)
-        return answer
-
-    def answers_for(self, query, store, choices, v=None, side=None) -> tuple:
-        """answer_for(query, store, choice, v, side) for each choice, as a tuple.
-
-        The honest answer_for reads neither v nor S, so while a class keeps
-        it, the tuple is memoized per store and query and returned again for
-        the same `choices` tuple (the memo holds it, so identity is sound).
-        A class that overrides answer_for is asked per choice, with v and S,
-        on every call: whatever it adds to the honest answer reaches the
-        audit.
-        """
-        if type(self).answer_for is not UsiServer.answer_for:
-            return tuple(self.answer_for(query, store, choice, v, side) for choice in choices)
-        if store is not self._memo_store:
-            self._memo_store, self._memo, self._lists = store, {}, {}
-        hit = self._lists.get(query)
-        if hit is not None and hit[0] is choices and type(choices) is tuple:
-            return hit[1]
-        answers = tuple(self.answer_for(query, store, choice) for choice in choices)
-        self._lists[query] = (choices, answers)
-        return answers
+        return usi_answer(query, store, selections=choice)
 
 
 class ClassBiasedServer(UsiServer):
@@ -208,25 +155,14 @@ class ClassTagServer(UsiServer):
 MUTANT_SERVERS = (ClassBiasedServer, SideParityDropServer, ClassTagServer)
 
 
-def _answer_serializer():
-    """answer -> canonical wire bytes, serializing each answer object once.
+def _reads_query_alone(server) -> bool:
+    """True while server's bound answer_for is the shipped UsiServer.answer_for.
 
-    Entries are keyed by id(answer) and hold a weak reference beside the
-    bytes; a hit counts only while that reference resolves to the same
-    object, so a reused id never returns another answer's bytes and no
-    answer is kept alive.
+    That answer_for reads neither v nor S, so a (v, S) pair's answers depend
+    on its query alone.  A subclass override or a function set on the
+    instance makes this false; a patch on UsiServer itself does not.
     """
-    seen = {}
-
-    def answer_bytes(answer):
-        hit = seen.get(id(answer))
-        if hit is not None and hit[0]() is answer:
-            return hit[1]
-        blob = canonical_bytes(answer_to_json(answer))
-        seen[id(answer)] = (weakref.ref(answer), blob)
-        return blob
-
-    return answer_bytes
+    return getattr(server.answer_for, "__func__", None) is UsiServer.answer_for
 
 
 @dataclass(frozen=True)
@@ -306,11 +242,11 @@ def audit_exact(
             "fall back to audit_statistical"
         )
     sides = enumerate_side_info_sets(layout, cap=cap)
-    answer_bytes = _answer_serializer()
-    answers_for = server.answers_for
+    honest = _reads_query_alone(server)
     queries = {}  # distinct query -> (its wire bytes, the server's choice tuple)
+    # sorted (answer bytes, count) items -> (counts, choice count, [(v, side index)])
     distributions = {}
-    last = None  # the answer tuple counted last, held so that its id is not reused
+    by_query = {}  # honest only: distinct query -> its entry of distributions
     counted = 0
     distinct = set()
     for v in range(params.num_classes):
@@ -318,29 +254,27 @@ def audit_exact(
             query = usi_query(v, side, demand=demand)
             seen = queries.get(query)
             if seen is None:
+                spaces = usi_choice_space(params.class_sizes, query.side_counts, demand)
                 seen = queries[query] = (
                     canonical_bytes(query_to_json(query)),
-                    tuple(itertools.product(*server.choice_space(query, layout))),
+                    tuple(itertools.product(*spaces)),
                 )
-            choices = seen[1]
-            answers = answers_for(query, store, choices, v, side)
-            if len(answers) != len(choices):
-                raise ProtocolViolationError(
-                    f"server {server.name!r} gave {len(answers)} answers "
-                    f"for {len(choices)} choices"
+            entry = by_query.get(query)
+            if entry is None:
+                choices = seen[1]
+                told = () if honest else (v, side)  # the honest answer_for reads neither
+                counts = Counter(
+                    canonical_bytes(answer_to_json(server.answer_for(query, store, c, *told)))
+                    for c in choices
                 )
-            # a tuple is immutable, so the one counted last needs no recount;
-            # a list, or any other tuple, is counted afresh
-            if answers is not last or type(answers) is not tuple:
-                counts = {}
-                for answer in answers:
-                    blob = answer_bytes(answer)
-                    counts[blob] = counts.get(blob, 0) + 1
-                group = distributions.setdefault(tuple(sorted(counts.items())), [])
-                last = answers
+                entry = distributions.setdefault(
+                    tuple(sorted(counts.items())), (counts, len(choices), [])
+                )
                 counted += 1
                 distinct.update(counts)
-            group.append((v, s_idx, counts, len(choices)))
+                if honest:
+                    by_query[query] = entry
+            entry[2].append((v, s_idx))
     query_invariant = len({blob for blob, _ in queries.values()}) == 1
 
     # pairs with identical distributions have distance zero, so the table
@@ -349,16 +283,13 @@ def audit_exact(
     reps = list(distributions.values())
     max_tv = Fraction(0)
     table = []
-    for (group_a, group_b) in itertools.combinations(reps, 2):
-        va, sa, counts_a, total_a = group_a[0]
-        vb, sb, counts_b, total_b = group_b[0]
+    for (counts_a, total_a, pairs_a), (counts_b, total_b, pairs_b) in (
+        itertools.combinations(reps, 2)
+    ):
         keys = set(counts_a) | set(counts_b)
-        diff = sum(
-            abs(counts_a.get(x, 0) * total_b - counts_b.get(x, 0) * total_a)
-            for x in keys
-        )
+        diff = sum(abs(counts_a[x] * total_b - counts_b[x] * total_a) for x in keys)
         tv = Fraction(diff, 2 * total_a * total_b)
-        table.append(((va, sa), (vb, sb), tv))
+        table.append((pairs_a[0], pairs_b[0], tv))
         max_tv = max(max_tv, tv)
     passed = query_invariant and max_tv == 0
     return AuditVerdict(
@@ -371,7 +302,7 @@ def audit_exact(
         notes={
             "pairs": params.num_classes * len(sides),
             "work": work,
-            "groups": [[(v, s) for v, s, _, _ in group] for group in reps],
+            "groups": [pairs for _, _, pairs in reps],
         },
         effort={"lists_counted": counted, "distinct_answers": len(distinct)},
     )
@@ -413,12 +344,12 @@ def audit_statistical(
     A block of one trial has zero mutual information for any server, so
     fewer than MIN_TRIALS = 2 * BLOCKS trials is a ParameterError.
 
-    Each block draws all its (v, S) pairs before asking the server.  The
-    honest answer_for reads neither v nor S, so while the server keeps it,
-    each distinct draw is asked once and its (v, S, digest) cell counts
-    every trial that drew it; a class that overrides answer_for is asked on
-    every trial, in draw order.  Either way the histogram, and so the
-    verdict, is the one a per-trial loop gives.
+    Each block draws all its (v, S) pairs before asking the server.  While
+    _reads_query_alone holds, each distinct query of the block is asked
+    once and each distinct draw's (v, S, digest) cell counts every trial
+    that drew it; any other answer_for is asked on every trial, in draw
+    order, with v and S.  Either way the histogram, and so the verdict, is
+    the one a per-trial loop gives.
 
     The estimate is the block-conditional plug-in mutual information in
     q-ary units; the pass threshold is twice its first-order bias bound,
@@ -431,10 +362,8 @@ def audit_statistical(
     params = layout.params
     rng = as_rng(seed)
     sizes = [trials // BLOCKS + (1 if b < trials % BLOCKS else 0) for b in range(BLOCKS)]
-    answer_bytes = _answer_serializer()
     query_blobs = {}  # each distinct query serialized once
-    buckets = {}  # each distinct (query bytes, answer bytes) pair digested once
-    honest = type(server).answer_for is UsiServer.answer_for
+    honest = _reads_query_alone(server)
     distinct = asks = 0
     mi_sum = 0.0
     bias_sum = 0.0
@@ -442,7 +371,7 @@ def audit_statistical(
     for n_b in sizes:
         store = random_store(layout, rng)
         probe = usi_query(0, sample_side_info(layout, rng), demand=demand)
-        spaces = server.choice_space(probe, layout)
+        spaces = usi_choice_space(params.class_sizes, probe.side_counts, demand)
         choice = tuple(space[rng.randrange(len(space))] for space in spaces)
         draws = [
             (rng.randrange(params.num_classes), sample_side_positions(layout, rng))
@@ -450,23 +379,25 @@ def audit_statistical(
         ]
         tally = Counter(draws)  # trials per distinct (v, S) draw, in first-seen order
         distinct += len(tally)
-        # honest: one ask per distinct draw; overriding: one ask per trial
         asked = tally.items() if honest else zip(draws, itertools.repeat(1))
+        block = {}  # honest only: distinct query -> its digest bucket in this block
         counts = {}  # ((v, S positions), digest bucket) -> trials
         for x, n in asked:
-            asks += 1
             v, positions = x
             side = side_from_positions(layout, positions)
             query = usi_query(v, side, demand=demand)
-            answer = server.answer_for(query, store, choice, v, side)
             qb = query_blobs.get(query)
             if qb is None:
                 qb = query_blobs[query] = canonical_bytes(query_to_json(query))
-            ab = answer_bytes(answer)
-            y = buckets.get((qb, ab))
+            y = block.get(query)
             if y is None:
+                asks += 1
+                told = () if honest else (v, side)  # the honest answer_for reads neither
+                ab = canonical_bytes(answer_to_json(server.answer_for(query, store, choice, *told)))
                 digest = hashlib.blake2b(qb + ab, digest_size=8).digest()
-                y = buckets[(qb, ab)] = int.from_bytes(digest, "big") % BUCKETS
+                y = int.from_bytes(digest, "big") % BUCKETS
+                if honest:
+                    block[query] = y
             counts[(x, y)] = counts.get((x, y), 0) + n
         w = n_b / trials
         mi_sum += w * _plugin_mi_qary(counts, params.q)

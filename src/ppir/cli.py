@@ -44,7 +44,7 @@ def _from_flags(build, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
-def _params_from_args(args):
+def _params_from_args(args, msg_len=1):
     from .model import InstanceParams
     from .protocol import auto_field_size
 
@@ -53,7 +53,7 @@ def _params_from_args(args):
         q = _from_flags(auto_field_size, args.class_sizes, args.side_counts)
     try:
         return _from_flags(
-            InstanceParams, args.class_sizes, args.side_counts, msg_len=args.msg_len, q=q
+            InstanceParams, args.class_sizes, args.side_counts, msg_len=msg_len, q=q
         )
     except FieldConstructionError as exc:
         raise ConfigError(f"--q: {exc}") from exc
@@ -192,7 +192,7 @@ def cmd_audit(args) -> int:
     for flag, value, least in (("--trials", args.trials, MIN_TRIALS), ("--cap", args.cap, 1)):
         if value < least:
             raise ConfigError(f"{flag} must be at least {least}, got {value}")
-    params = _params_from_args(args)
+    params = _params_from_args(args, args.msg_len)
     # here, not in _params_from_args: oracle searches a field below the scheme's on purpose
     need = longest_code_length(params.class_sizes, params.side_counts)
     if params.q < need:
@@ -284,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--class-sizes", type=int_list, required=True)
     p_oracle.add_argument("--side-counts", type=int_list, required=True)
     p_oracle.add_argument("--q", type=int, default=None)
-    p_oracle.add_argument("--msg-len", type=int, default=1)
     p_oracle.add_argument("--t", type=int, default=None)
     p_oracle.add_argument("--l-max", type=int, default=None)
     p_oracle.add_argument("--budget", type=int, default=2_000_000)

@@ -93,11 +93,7 @@ class JointPayload(namedtuple("JointPayload", ("picks", "known_count", "code_len
 
 @dataclass(frozen=True)
 class Answer:
-    """The server's reply.
-
-    Stays a dataclass: the audit serializer keys answers by id beside a weak
-    reference, and tuples cannot be weakly referenced.
-    """
+    """The server's reply."""
 
     q: int
     msg_len: int
@@ -161,17 +157,29 @@ def usi_query(v: int, side: SideInfo, demand: int = 1) -> Query:
     return Query(scheme, tuple(side.per_class_counts), demand)
 
 
-def uncoded_choice_space(mu: int, k: int, demand: int = 1):
-    """All position subsets the server may send for an uncoded class."""
-    return list(itertools.combinations(range(mu), k + demand))
+def usi_choice_space(class_sizes, side_counts, demand: int = 1):
+    """usi_answer's random choices: one list per class.
+
+    An uncoded class lists every position subset of class_plan's row count
+    the server may send; a parity class has the single entry None.
+    """
+    spaces = []
+    for mu, k in zip(class_sizes, side_counts):
+        mode, rows = class_plan(mu, k, demand)
+        if mode == "uncoded":
+            spaces.append(list(itertools.combinations(range(mu), rows)))
+        else:
+            spaces.append([None])
+    return spaces
 
 
 def usi_answer(query: Query, store: MessageStore, seed=None, selections=None) -> Answer:
     """Build the per-class answer.
 
-    selections optionally fixes the uncoded position subsets (one tuple per
-    class, None for parity classes); the exact privacy audit uses it to
-    enumerate the server's randomness instead of sampling it.
+    selections optionally fixes the server's random choices, one entry of
+    usi_choice_space per class (a position subset, or None for a parity
+    class); the privacy audits use it to enumerate or draw the server's
+    randomness instead of sampling it here.
     """
     if query.scheme not in ("usi", "musi"):
         raise ParameterError(f"not a count-profile query: {query.scheme}")

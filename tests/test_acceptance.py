@@ -40,14 +40,13 @@ from ppir.picod import (
     rank_lower_bound_certificate,
 )
 from ppir.protocol import (
-    class_plan,
     decode_answer,
     download_cost,
     fsi_answer,
     fsi_decode,
     fsi_query,
-    uncoded_choice_space,
     usi_answer,
+    usi_choice_space,
     usi_query,
 )
 from ppir.rates import usi_capacity
@@ -364,12 +363,10 @@ def test_criterion_11_exhaustive_per_class_recovery(acceptance_grid):
             continue
         layout = build_layout(params, 31)
         store = random_store(layout, 32)
+        spaces = usi_choice_space(params.class_sizes, params.side_counts)
         pairs = [
-            list(itertools.product(
-                itertools.combinations(range(mu), k),
-                uncoded_choice_space(mu, k) if class_plan(mu, k)[0] == "uncoded" else [None],
-            ))
-            for mu, k in zip(params.class_sizes, params.side_counts)
+            list(itertools.product(itertools.combinations(range(mu), k), space))
+            for mu, k, space in zip(params.class_sizes, params.side_counts, spaces)
         ]
         for r in range(max(map(len, pairs))):
             chosen = [class_pairs[r % len(class_pairs)] for class_pairs in pairs]

@@ -63,3 +63,32 @@ def test_within_bound_follows_the_better_direction(compare):
     same = compare(parent, parent, SPEC)["pass_s"]
     assert same["change_wins"] == 0 and not same["gain_exceeds_parent_iqr"]
     assert same["within_bound"]
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved(compare):
+    # medians 0.0528 -> 0.0307 s, but the parent's runs span more than the
+    # 25 % bound: within bound, yet too spread to tell
+    parent = runs(pass_s=[0.030, 0.040, 0.0528, 0.070, 0.090], ops_per_s=[10, 14, 18, 22, 26])
+    change = runs(pass_s=[0.020, 0.025, 0.0307, 0.060, 0.080], ops_per_s=[12, 16, 20, 24, 28])
+    out = compare(parent, change, SPEC)
+    assert out["pass_s"]["within_bound"] and out["pass_s"]["unresolved"]
+    assert out["ops_per_s"]["within_bound"] and out["ops_per_s"]["unresolved"]
+
+
+def test_a_change_that_beats_every_parent_run_is_resolved(compare):
+    # the same wide parent, but every change run reads better than every parent run
+    parent = runs(pass_s=[0.030, 0.040, 0.0528, 0.070, 0.090], ops_per_s=[10, 14, 18, 22, 26])
+    change = runs(pass_s=[0.010, 0.012, 0.015, 0.020, 0.029], ops_per_s=[27, 28, 30, 31, 40])
+    out = compare(parent, change, SPEC)
+    assert not out["pass_s"]["unresolved"] and not out["ops_per_s"]["unresolved"]
+    # a tie with the parent's best run is no win over every run
+    tied = compare(parent, runs(pass_s=[0.010, 0.012, 0.015, 0.020, 0.030], ops_per_s=[26] * 5), SPEC)
+    assert tied["pass_s"]["unresolved"] and tied["ops_per_s"]["unresolved"]
+
+
+def test_a_parent_spread_inside_the_bound_is_resolved(compare):
+    # a tight parent resolves a loss as well as a gain: 30 % slower is out of bound, not unresolved
+    parent = runs(pass_s=[1.0, 1.05, 1.1, 1.15, 1.2], ops_per_s=[10, 10, 10, 10, 10])
+    slower = compare(parent, runs(pass_s=[1.4] * 5, ops_per_s=[8] * 5), SPEC)
+    assert not slower["pass_s"]["within_bound"] and not slower["pass_s"]["unresolved"]
+    assert not slower["ops_per_s"]["within_bound"] and not slower["ops_per_s"]["unresolved"]

@@ -149,12 +149,12 @@ def test_exact_audit_reports_its_work_on_stderr(capsys):
         "audit: work 16 of cap 50000, 4 (v, S) pairs, 4 answer lists counted, "
         "8 distinct answers\n"
     )
-    # the statistical audit asks the honest server once per distinct draw of
+    # the statistical audit asks the honest server once per distinct query of
     # a block, an overriding one on every trial
     stat = ("--mode", "statistical", "--trials", "32")
     code, out, err = run_cli(capsys, *argv, *stat)
     assert code == 0
-    assert err == "audit: 32 trials in 16 blocks, 30 distinct (v, S) draws, 30 server asks\n"
+    assert err == "audit: 32 trials in 16 blocks, 30 distinct (v, S) draws, 16 server asks\n"
     code, out, err = run_cli(capsys, *argv, *stat, "--mutant", "class-tag")
     assert code == 1
     assert err == "audit: 32 trials in 16 blocks, 30 distinct (v, S) draws, 32 server asks\n"
@@ -815,3 +815,11 @@ def test_malformed_int_list_is_a_usage_error(capsys):
         main(["capacity", "--class-sizes", "3,x", "--side-counts", "1,1"])
     assert info.value.code == 2
     assert "invalid int_list value: '3,x'" in capsys.readouterr().err
+
+
+def test_oracle_refuses_a_message_length(capsys):
+    # nothing the oracle prints reads one, and --msg-len 0 used to exit 2
+    with pytest.raises(SystemExit) as info:
+        main(["oracle", "--class-sizes", "2,2", "--side-counts", "1,1", "--msg-len", "1"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --msg-len 1" in capsys.readouterr().err
