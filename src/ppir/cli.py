@@ -166,6 +166,8 @@ def cmd_oracle(args) -> int:
                 cert = picod.rank_lower_bound_certificate(search.witness, inst)
                 doc["certificate"] = cert.to_json()
                 ok = ok and cert.ok
+        except EnumerationCapError as exc:  # the side family passes FAMILY_CAP
+            raise ConfigError(str(exc)) from exc
         except SearchBudgetError as exc:
             doc["bruteforce"] = {
                 "skipped": str(exc),

@@ -443,6 +443,11 @@ def _oracle_section(params: InstanceParams, config: ExperimentConfig, seed: int)
         params.num_messages, params.total_side, inst.demand_classes
     )
     section = {"lower_bound": lower, "upper_bound": upper, "sandwich_ok": lower <= upper}
+    try:
+        inst.check_family_cap()
+    except EnumerationCapError as exc:
+        section["skipped"] = str(exc)
+        return section
     rng = as_rng(seed)
     layout = build_layout(params, rng)
     store = random_store(layout, rng)

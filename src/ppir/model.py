@@ -94,9 +94,15 @@ class InstanceParams:
     q: int = 2
 
     def __post_init__(self):
-        object.__setattr__(self, "class_sizes", tuple(int(m) for m in self.class_sizes))
-        object.__setattr__(self, "side_counts", tuple(int(k) for k in self.side_counts))
-        check_instance(self.class_sizes, self.side_counts)
+        sizes, counts = tuple(self.class_sizes), tuple(self.side_counts)
+        # type-exact, as the config and wire readers are: no bool, float or str
+        if not all(type(x) is int for x in sizes + counts):
+            raise ParameterError(
+                f"class sizes and side counts must be integers, got {sizes} and {counts}"
+            )
+        object.__setattr__(self, "class_sizes", sizes)
+        object.__setattr__(self, "side_counts", counts)
+        check_instance(sizes, counts)
         if self.msg_len < 1:
             raise ParameterError("msg_len must be positive")
         make_field(self.q)  # FieldConstructionError unless q is a field order

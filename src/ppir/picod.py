@@ -29,13 +29,13 @@ classes are tried subset by subset, smallest floor sum first.
 One span kernel serves every decodability question.  `_insert` adds one
 vector to a reduced echelon basis of (pivot, row) pairs, and u_j lies in the
 span exactly when j is a pivot whose row has no other nonzero entry.
-`_decodable_set` splits a matrix's coordinates into blocks joined by column
-supports, answers each block on its own and memoizes the answer on the
-matrix.  The certificate's check of its collected set C is one rank
-instead: the columns kept on C contain every unit of C in their span
-exactly when they have rank |C|, so `_verify_collected` runs `linalg.rank`,
-the kernel behind `EncodingMatrix.rank`, not the one that built the tables
-the walk read.
+`_decodable_set` answers one client by one elimination of the columns
+restricted to the coordinates it lacks; it shares nothing across clients, so
+the class-group tables below are the oracle's only decomposition.  The
+certificate's check of its collected set C is one rank instead: the columns
+kept on C contain every unit of C in their span exactly when they have rank
+|C|, so `_verify_collected` runs `linalg.rank`, the kernel behind
+`EncodingMatrix.rank`, not the one that built the tables the walk read.
 
 The client family is a product over classes, and it stays one over groups
 of classes joined by column supports (a scheme answer is block-diagonal by
@@ -132,30 +132,6 @@ class EncodingMatrix:
             )
         return cached
 
-    @functools.cached_property
-    def _span_blocks(self):
-        """Column blocks and the memo of their decodable sets.
-
-        Two coordinates share a block when some column's support joins them,
-        so every nonzero column lies in one block and the span is the direct
-        sum of the block spans.  Returns ((coords, columns) per block, memo);
-        the memo maps (block index, kept coordinates) to the block's
-        decodable indices.
-        """
-        groups = []  # (coordinates, columns) of the blocks found so far
-        for col in self.columns:
-            coords = {i for i, x in enumerate(col) if x}
-            if not coords:
-                continue
-            cols = [col]
-            for group in [g for g in groups if g[0] & coords]:
-                groups.remove(group)
-                coords |= group[0]
-                cols = group[1] + cols
-            groups.append((coords, cols))
-        groups.sort(key=lambda g: min(g[0]))
-        return [(tuple(sorted(c)), tuple(cols)) for c, cols in groups], {}
-
     def to_json(self) -> dict:
         return {
             "num_messages": self.num_messages,
@@ -179,7 +155,10 @@ class PicodInstance:
             self, "class_members", tuple(tuple(m) for m in self.class_members)
         )
         object.__setattr__(self, "side_counts", tuple(self.side_counts))
-        flat = sorted(m for members in self.class_members for m in members)
+        flat = [m for members in self.class_members for m in members]
+        if not all(type(x) is int for x in flat + list(self.side_counts)):
+            raise ParameterError("class members and side counts must be integers")
+        flat.sort()
         if flat != list(range(self.num_messages)):
             raise ParameterError("class members must partition the message indices")
         if len(self.side_counts) != len(self.class_members):
@@ -302,25 +281,17 @@ def _decodable_set(matrix: EncodingMatrix, side_set) -> set:
     """Indices outside side_set that a client holding side_set can recover.
 
     Dropping the side coordinates turns the question into u_m in the row
-    space of the restricted broadcasts.  In reduced echelon form u_j lies in
-    the row space exactly when column j is a pivot whose row has no other
-    nonzero entry.  The span is the direct sum of the block spans, so each
-    block is answered on its own and memoized on the matrix.
+    space of the restricted broadcasts: one elimination of every restricted
+    column, after which u_j lies in the row space exactly when j is a pivot
+    whose row has no other nonzero entry.
     """
     side = set(side_set)
+    keep = [i for i in range(matrix.num_messages) if i not in side]
     field = make_field(matrix.q)
-    blocks, memo = matrix._span_blocks
-    found = set()
-    for b, (coords, columns) in enumerate(blocks):
-        keep = tuple(itertools.filterfalse(side.__contains__, coords))
-        hit = memo.get((b, keep))
-        if hit is None:
-            basis = ()
-            for col in columns:
-                basis = _insert(field, basis, [col[i] for i in keep])
-            hit = memo[b, keep] = tuple(keep[p] for p in _unit_pivots(basis))
-        found.update(hit)
-    return found
+    basis = ()
+    for col in matrix.columns:
+        basis = _insert(field, basis, [col[i] for i in keep])
+    return {keep[p] for p in _unit_pivots(basis)}
 
 
 def decodable(m: int, matrix: EncodingMatrix, side_set) -> bool:

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import pathlib
+import re
+import runpy
+import sys
 from fractions import Fraction
 
 import pytest
@@ -367,3 +371,23 @@ def test_fsi_mutant_fails_where_v_can_avoid_side_classes():
             verdict = audit_fsi_query_exact(layout, user=cls())
             assert not verdict.passed, (cls.name, class_sizes)
             assert verdict.answer_tv_distance > 0 and verdict.server == cls.name
+
+
+@pytest.mark.parametrize(
+    "cap, audited, skipped",
+    [(20_000, 21, 0), (12, 15, 6)],  # the six (3, 3) shapes need 18 enumerations
+)
+def test_privacy_sweep_ends_with_a_summary_line(monkeypatch, capsys, cap, audited, skipped):
+    script = pathlib.Path(__file__).parents[1] / "scripts" / "privacy_sweep.py"
+    main = runpy.run_path(str(script))["main"]
+    argv = ["privacy_sweep.py", "--max-class-size", "3", "--cap", str(cap)]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 21 + 3 + 1
+    assert sum(line.endswith(": skipped (work 18)") for line in lines) == skipped
+    assert sum(line.startswith("mutant ") and ": caught (" in line for line in lines) == 3
+    assert re.fullmatch(
+        rf"summary: {audited} audited, {skipped} skipped, 3 mutants caught, audit \d+\.\d\ds",
+        lines[-1],
+    )

@@ -311,6 +311,37 @@ def test_run_command_reports_an_exact_audit_over_its_cap_as_skipped(tmp_path, ca
     }
 
 
+def test_run_command_reports_an_oracle_over_its_cap_as_skipped(tmp_path, capsys):
+    # 924^3 side sets pass the oracle's cap: that section keeps its bounds and
+    # says why it stopped, and the other instance's oracle still runs
+    config = tmp_path / "config.yaml"
+    config.write_text(
+        "seed: 5\ntrials: 1\noracle:\n  enabled: true\ninstances:\n"
+        "  - class_sizes: [3, 3]\n    side_counts: [1, 1]\n"
+        "  - class_sizes: [12, 12, 12]\n    side_counts: [6, 6, 6]\n"
+    )
+    code, out, err = run_cli(capsys, "run", str(config))
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["all_passed"] is True
+    small, large = report["instances"]
+    assert small["oracle"]["certificate_ok"] and "skipped" not in small["oracle"]
+    assert large["oracle"] == {
+        "lower_bound": 18,
+        "upper_bound": 18,
+        "sandwich_ok": True,
+        "skipped": "788889024 side sets exceed cap 100000",
+    }
+
+
+def test_oracle_over_its_family_cap_is_a_config_error_on_stderr(capsys):
+    argv = ("oracle", "--class-sizes", "12,12,12", "--side-counts", "6,6,6")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: 788889024 side sets exceed cap 100000\n")
+    code, out, _ = run_cli(capsys, *argv, "--skip-search")  # the bounds list no side set
+    assert code == 0 and json.loads(out)["lower_bound"] == 18
+
+
 def test_run_command_without_records_keeps_the_failing_ones(tmp_path, capsys, monkeypatch):
     from conftest import flip_first_decoded_symbol
 

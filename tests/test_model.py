@@ -38,6 +38,21 @@ def test_params_validation():
         InstanceParams((3, 3), (-1, 0))
 
 
+@pytest.mark.parametrize(
+    "sizes, counts",
+    [
+        ((2.7, 3), (1, 1)),  # was truncated to (2, 3)
+        ((3.0, 3), (1, 1)),
+        (("3", "3"), ("1", "1")),
+        ((3, 3), (True, 1)),  # bool is an int subclass
+        ((3, 3), (1.0, 1)),
+    ],
+)
+def test_params_refuse_non_integer_shapes(sizes, counts):
+    with pytest.raises(ParameterError, match="must be integers"):
+        InstanceParams(sizes, counts)
+
+
 def test_params_q_must_be_a_field_order():
     # fields.make_field decides which orders exist; q=6 used to load and fail mid-run
     for q in (1, 6, 9, 2**17):

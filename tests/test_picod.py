@@ -194,6 +194,20 @@ def test_instance_validation():
         PicodInstance(((0, 1), (2, 3)), (2, 1), 2, 3)  # kappa > f - t: one open class, t = 2
     with pytest.raises(FieldConstructionError, match="q=6"):
         PicodInstance(((0, 1), (2, 3)), (1, 1), 2, 6)  # no field of order 6
+
+
+@pytest.mark.parametrize(
+    "members, counts",
+    [
+        (((0, 1), (2, 3)), (1.5, 1)),  # a float count
+        (((0, 1), (2, 3)), (True, 1)),  # bool is an int subclass
+        (((0, 1), (2, 3)), ("1", 1)),
+        (((0.0, 1), (2, 3)), (1, 1)),  # 0.0 == 0 would pass the partition check
+    ],
+)
+def test_instance_refuses_non_integer_entries(members, counts):
+    with pytest.raises(ParameterError, match="must be integers"):
+        PicodInstance(members, counts, 2, 3)
     assert generic_min_field_size(4) == 8
 
 
@@ -511,17 +525,14 @@ def test_group_tables_match_per_client_checks(case):
         assert cert.decoded_pool == {j: gathered[j] for j in cert.chosen_classes}
 
 
-def test_span_blocks_follow_column_supports():
+def test_decodable_set_on_split_supports():
     # coordinates 0 and 3 are joined by a column, 1 stands alone, 2 and 4
-    # are covered by no column; zero columns belong to no block
+    # are covered by no column, and one column is zero
     cols = ((1, 0, 0, 2, 0), (0, 0, 0, 0, 0), (0, 1, 0, 0, 0), (2, 0, 0, 0, 0))
     matrix = EncodingMatrix(cols, 3)
-    blocks, memo = matrix._span_blocks
-    assert blocks == [((0, 3), (cols[0], cols[3])), ((1,), (cols[2],))]
     assert _decodable_set(matrix, ()) == {0, 1, 3}
     assert _decodable_set(matrix, (0,)) == {1, 3}
     assert _decodable_set(matrix, (1, 2)) == {0, 3}
-    assert memo == {(0, (0, 3)): (0, 3), (1, (1,)): (1,), (0, (3,)): (3,), (1, ()): ()}
 
 
 def _collected_check_agrees(matrix, collected):

@@ -1,4 +1,7 @@
 import itertools
+import pathlib
+import runpy
+import sys
 from fractions import Fraction
 
 import pytest
@@ -99,3 +102,22 @@ def test_rate_report_flags():
     row = report.csv_row()
     assert row["capacity"] == "1/3"
     assert row["class_sizes"] == "4x4"
+
+
+def test_rate_table_prints_one_row_per_grid_instance(monkeypatch, capsys):
+    from ppir.harness import grid_instances
+
+    script = pathlib.Path(__file__).parents[1] / "scripts" / "rate_table.py"
+    main = runpy.run_path(str(script))["main"]
+    monkeypatch.setattr(
+        sys, "argv", ["rate_table.py", "--num-classes", "2", "--max-class-size", "3"]
+    )
+    main()
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "class_sizes,side_counts,capacity,ppir_rate,pir_si_rate,regimes"
+    grid = grid_instances({"num_classes": [2], "max_class_size": 3}, (1,), 1)
+    assert len(rows) == len(grid) == 21
+    assert [row.split(",")[:2] for row in rows] == [
+        ["x".join(map(str, p.class_sizes)), "x".join(map(str, p.side_counts))] for p in grid
+    ]
+    assert rows[0] == "1x1,0x0,1/2,1/2,1/2,max-side-info|no-side-info|pir-si-equivalent"
