@@ -41,7 +41,7 @@ def test_params_validation():
 @pytest.mark.parametrize(
     "sizes, counts",
     [
-        ((2.7, 3), (1, 1)),  # was truncated to (2, 3)
+        ((2.7, 3), (1, 1)),
         ((3.0, 3), (1, 1)),
         (("3", "3"), ("1", "1")),
         ((3, 3), (True, 1)),  # bool is an int subclass
