@@ -111,6 +111,30 @@ MUTANT_STATISTICAL_VERDICTS = {  # on (4,2)/(0,1), layout seed 3, audit seed 1
         "5f1db63981f58fea1814bb84ad805699b527149a69a0a8967879776071016264",
     (1_000, "class-tag"): "4ca4cde0b5417724d1e864515ffd19e4f02c1f308200118bc2a98a583d4d8ab1",
 }
+# sha256 of statistical verdicts at 2,000 trials, layout seed 5, audit seed 1,
+# recorded while each trial drew its own (v, S): (class sizes, side counts, q,
+# demand, server) -> digest.  Class size 25 is above Random.sample's pool
+# limit, so (25,3) draws through Random.sample itself.  Draws rarely repeat
+# within a block on either shape, and every mutant passes there
+DRAW_PATH_VERDICTS = {
+    ((25, 3), (2, 1), 31, 1, "honest"):
+        "3fe66c7c2c0d903076a0d677b5f6adabd8d54510d16c53015567840b619bc3b2",
+    ((25, 3), (2, 1), 31, 1, "class-biased-selection"):
+        "378a884341fd72376242d913cad4f4aac8805a527bdfefe9805964c38ef2ba6d",
+    ((25, 3), (2, 1), 31, 1, "side-parity-drop"):
+        "a15b6e7eb55afc153d97ab2d50be894c7da3523dc4a2f7a98dbe1fad40d31cf1",
+    ((25, 3), (2, 1), 31, 1, "class-tag"):
+        "245e37e26a63ce5bdb4df30b55e2c32c45d5ee1ab2d8e4cd49e21aad6e5e3b1f",
+    ((6, 6), (2, 3), 11, 2, "honest"):
+        "6c63ec740a48113f2c87117627276ceb2ed262cacdaeb2b1a70194319d26b54a",
+    ((6, 6), (2, 3), 11, 2, "class-biased-selection"):
+        "f0728c1ae11a8270ddba4f56531783160336744874f6e80609f63d927e495149",
+    ((6, 6), (2, 3), 11, 2, "side-parity-drop"):
+        "7a4a8fee4c357b9bacb20e8d164a348ff943916a50ffa0b68664af0ff2eb16bd",
+    ((6, 6), (2, 3), 11, 2, "class-tag"):
+        "b1eb39ea0d15d41b681c2254c56be11eaefaeb0b12996326297f395c4e7620a1",
+}
+DRAW_PATH_DISTINCT = {(25, 3): 1930, (6, 6): 1789}  # distinct (v, S) draws of those audits
 
 
 def _verdict_sha(verdict):
@@ -146,6 +170,16 @@ def test_mutant_statistical_verdicts_match_the_recorded_digests():
         for cls in MUTANT_SERVERS
     }
     assert got == MUTANT_STATISTICAL_VERDICTS
+
+
+@pytest.mark.parametrize("case", sorted(DRAW_PATH_VERDICTS))
+def test_draw_path_verdicts_match_the_recorded_digests(case):
+    class_sizes, side_counts, q, demand, name = case
+    layout = build_layout(InstanceParams(class_sizes, side_counts, q=q), 5)
+    server = {cls.name: cls for cls in (UsiServer, *MUTANT_SERVERS)}[name]()
+    verdict = audit_statistical(layout, 2_000, 1, server=server, demand=demand)
+    assert _verdict_sha(verdict) == DRAW_PATH_VERDICTS[case]
+    assert verdict.effort["distinct_draws"] == DRAW_PATH_DISTINCT[class_sizes]
 
 
 def test_honest_batch_builds_each_answer_once(monkeypatch):
