@@ -18,6 +18,7 @@ import itertools
 import sys
 import time
 
+from ppir.cli import run_piped
 from ppir.errors import CertificateError, SearchBudgetError
 from ppir.model import InstanceParams
 from ppir.picod import (
@@ -90,4 +91,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_piped(main))

@@ -15,6 +15,7 @@ import sys
 import time
 
 from ppir.audit import MUTANT_SERVERS, audit_exact, exact_audit_work
+from ppir.cli import run_piped
 from ppir.harness import grid_instances
 from ppir.model import InstanceParams, build_layout, random_store
 
@@ -65,4 +66,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_piped(main))

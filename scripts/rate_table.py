@@ -9,6 +9,7 @@ import argparse
 import csv
 import sys
 
+from ppir.cli import run_piped
 from ppir.harness import grid_instances
 from ppir.rates import rate_report
 
@@ -38,4 +39,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_piped(main))

@@ -38,6 +38,13 @@ the verdicts are those of the per-triple and per-trial loops.  Each
 distinct query is serialized once; query invariance means one distinct
 blob.
 
+audit_statistical draws each block's (v, S) pairs in one pass
+(_draw_block): Counter tallies the raw draws in C, and each distinct raw
+draw becomes its (v, sorted positions) once through model._picks, the pool
+rule sample_positions uses.  The random stream and the tally, in order, are
+those of per-trial draws, so the verdicts are too.  A layout with a drawing
+class above model.POOL_LIMIT goes through Random.sample and draws per trial.
+
 audit_fsi_query_exact checks the positional (fsi) scheme's query: it
 enumerates fsi_query's own random choices (fsi_choice_space) through the
 shipped fsi_query; the FsiPinAllUser mutant, which pins every side class
@@ -55,8 +62,11 @@ from fractions import Fraction
 
 from .errors import EnumerationCapError, ParameterError
 from .model import (
+    POOL_LIMIT,
     DatabaseLayout,
     MessageStore,
+    _below,
+    _picks,
     as_rng,
     enumerate_side_info_sets,
     positional_side_info,
@@ -322,6 +332,41 @@ def _plugin_mi_qary(counts, q: int) -> float:
     return mi / math.log(q)
 
 
+def _draw_block(layout: DatabaseLayout, rng, n_b: int):
+    """n_b draws of (rng.randrange(num_classes), sample_side_positions(layout, rng)).
+
+    Returns the trials per distinct draw, in first-seen order, and an
+    iterator over the draws in draw order; rng ends where n_b per-trial
+    calls leave it.  While no drawing class exceeds POOL_LIMIT, each draw is
+    one _below with a fixed bound (v below num_classes, then each class's
+    pool draws below mu, mu - 1, ..., mu - k + 1), so map, zip and Counter
+    make and tally the raw tuples in C.  Raw tuples that pick the same
+    positions merge in first-seen order.  Random.sample's own branch draws a
+    varying number of times, so a layout that takes it draws per trial.
+    """
+    params = layout.params
+    shape = tuple(zip(params.class_sizes, params.side_counts))
+    if any(k and mu > POOL_LIMIT for mu, k in shape):
+        draws = [
+            (rng.randrange(params.num_classes), sample_side_positions(layout, rng))
+            for _ in range(n_b)
+        ]
+        return Counter(draws), iter(draws)
+    bounds = (params.num_classes,) + tuple(
+        n for mu, k in shape for n in range(mu, mu - k, -1)
+    )
+    ends = tuple(itertools.accumulate(params.side_counts, initial=1))
+    cuts = tuple(zip(params.class_sizes, ends, ends[1:]))  # each class's slice of a raw tuple
+    raw_draws = map(_below, itertools.repeat(rng.getrandbits), bounds * n_b)
+    raw = list(zip(*[raw_draws] * len(bounds)))
+    key_of = {}  # distinct raw tuple -> its (v, S positions) draw
+    tally = {}
+    for r, n in Counter(raw).items():
+        x = key_of[r] = (r[0], tuple(_picks(mu, r[a:b]) for mu, a, b in cuts))
+        tally[x] = tally.get(x, 0) + n
+    return tally, map(key_of.__getitem__, raw)
+
+
 def audit_statistical(
     layout: DatabaseLayout,
     trials: int,
@@ -344,12 +389,24 @@ def audit_statistical(
     A block of one trial has zero mutual information for any server, so
     fewer than MIN_TRIALS = 2 * BLOCKS trials is a ParameterError.
 
-    Each block draws all its (v, S) pairs before asking the server.  While
-    _reads_query_alone holds, each distinct query of the block is asked
-    once and each distinct draw's (v, S, digest) cell counts every trial
-    that drew it; any other answer_for is asked on every trial, in draw
-    order, with v and S.  Either way the histogram, and so the verdict, is
-    the one a per-trial loop gives.
+    Each block draws all its (v, S) pairs before asking the server, in
+    one pass that tallies the raw draws and canonicalizes each distinct one
+    once (_draw_block; a class above POOL_LIMIT that draws makes the layout
+    draw per trial).  While _reads_query_alone holds, each distinct query of
+    the block is asked once and each distinct draw's (v, S, digest) cell
+    counts every trial that drew it; any other answer_for is asked on every
+    trial, in draw order, with v and S.  Either way the histogram, its
+    summation order, and so the verdict, are the ones a per-trial loop
+    gives.
+
+    The audit has power only where draws repeat within a block: a leak
+    shows as the digest varying among trials that drew the same (v, S).
+    Where nearly every draw of a block is distinct, the estimate and the
+    threshold are both near log_q of the block size, and a leaking server
+    can pass: at 10,000 trials (layout seed 5, audit seed 1) every mutant
+    passes on (8,8,8)/(2,2,2) at q=2, class-tag with MI 0.914 against a
+    threshold of 1.432 and alphabet_x 624 of 625 trials per block, and on
+    (10,10)/(3,3) at q=5.
 
     The estimate is the block-conditional plug-in mutual information in
     q-ary units; the pass threshold is twice its first-order bias bound,
@@ -373,11 +430,7 @@ def audit_statistical(
         probe = usi_query(0, sample_side_info(layout, rng), demand=demand)
         spaces = usi_choice_space(params.class_sizes, probe.side_counts, demand)
         choice = tuple(space[rng.randrange(len(space))] for space in spaces)
-        draws = [
-            (rng.randrange(params.num_classes), sample_side_positions(layout, rng))
-            for _ in range(n_b)
-        ]
-        tally = Counter(draws)  # trials per distinct (v, S) draw, in first-seen order
+        tally, draws = _draw_block(layout, rng, n_b)
         distinct += len(tally)
         asked = tally.items() if honest else zip(draws, itertools.repeat(1))
         block = {}  # honest only: distinct query -> its digest bucket in this block

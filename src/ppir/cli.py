@@ -314,20 +314,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run_piped(func, *args):
+    """func(*args), then flush stdout; 141 if the reader closed stdout early.
+
+    A reader that stops early (`ppir run cfg.yaml | head -1`) is not a bug,
+    so nothing goes to stderr.  main and the report scripts end through here.
+    """
     try:
-        code = args.func(args)
+        code = func(*args)
         sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
         return code
     except BrokenPipeError:
-        # the reader closed stdout (`ppir run cfg.yaml | head -1`): not a bug.
-        # Point stdout at devnull so the flush at exit cannot raise again
+        # point stdout at devnull so the flush at exit cannot raise again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return run_piped(args.func, args)
     except PpirError as exc:
         print(f"error: {exc}", file=sys.stderr)
         # replay's only inputs are its files, so anything it rejects is a format error

@@ -632,6 +632,11 @@ def replay(query_path, answer_path, side_path, desired: int | None = None):
         if desired is None:
             raise ParameterError("fsi replay needs the desired class")
         return fsi_decode(answer, query, side, values, desired)
+    if query.side_counts != side.per_class_counts:  # the usi decode never reads them
+        raise WireFormatError(
+            f"query side_counts {list(query.side_counts)} contradict the side "
+            f"document's per_class_counts {list(side.per_class_counts)}"
+        )
     result = decode_answer(answer, side, values, demand=query.demand)
     if desired is not None and not 0 <= desired < len(result.new_from_class):
         raise ParameterError(

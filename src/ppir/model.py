@@ -14,7 +14,7 @@ plus the per-class counts.
 Seeded worlds feed report.json, so every draw here reproduces what the
 `random.Random` methods that used to make it would return, and leaves the
 generator in the same state.  The draws skip those Python-level wrappers
-(`randrange`, `randint`, `shuffle` and, for populations up to 21,
+(`randrange`, `randint`, `shuffle` and, for populations up to POOL_LIMIT,
 `sample`), which cost about a quarter of a protocol round: each value below
 n is `getrandbits(n.bit_length())`, drawn again while it is >= n, exactly
 as `Random._randbelow` does it.  `tests/test_model.py` checks outputs and
@@ -35,6 +35,7 @@ from .fields import make_field
 from .rates import check_instance
 
 DEFAULT_IDENTIFIER_RANGE = (1, 2**32)
+POOL_LIMIT = 21  # the largest population `Random.sample` always draws from a pool
 
 
 def as_rng(seed) -> random.Random:
@@ -53,27 +54,36 @@ def _below(getrandbits, n: int) -> int:
     return r
 
 
+def _picks(mu: int, draws) -> tuple[int, ...]:
+    """The sorted positions `Random.sample`'s pool branch takes from range(mu).
+
+    draws are that branch's draws, the i-th below mu - i: each takes the pool
+    entry it lands on and moves the last live entry into its place.  Only
+    moved entries are stored; entry j of the pool is moved.get(j, j).
+    """
+    moved = {}
+    picked = []
+    for j in draws:
+        mu -= 1
+        picked.append(moved.get(j, j))
+        moved[j] = moved.get(mu, mu)
+    picked.sort()
+    return tuple(picked)
+
+
 def sample_positions(rng: random.Random, mu: int, k: int) -> tuple[int, ...]:
     """sorted(rng.sample(range(mu), k)), with the same draws.
 
-    Up to mu = 21 `Random.sample` always takes its pool branch, which is
-    repeated here; above that it is called itself.
+    Up to mu = POOL_LIMIT `Random.sample` always takes its pool branch, which
+    _picks repeats; above that it is called itself.
     """
     if not 0 <= k <= mu:
         raise ParameterError(f"cannot sample {k} of {mu} positions")
     if not k:  # neither branch draws for k = 0
         return ()
-    if mu > 21:
+    if mu > POOL_LIMIT:
         return tuple(sorted(rng.sample(range(mu), k)))
-    getrandbits = rng.getrandbits
-    pool = list(range(mu))
-    picked = []
-    for n in range(mu, mu - k, -1):
-        j = _below(getrandbits, n)
-        picked.append(pool[j])
-        pool[j] = pool[n - 1]
-    picked.sort()
-    return tuple(picked)
+    return _picks(mu, map(_below, itertools.repeat(rng.getrandbits), range(mu, mu - k, -1)))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from ppir.harness import auto_field_size, grid_instances
@@ -54,3 +59,21 @@ def compositions(total, parts):
 @pytest.fixture(scope="session")
 def acceptance_grid():
     return grid_instances({"num_classes": [2, 3], "max_class_size": 5}, (1, 4), 1)
+
+
+def run_script_into_closed_pipe(name, *args):
+    """Run scripts/<name> with stdout a pipe whose reader has already gone."""
+    import ppir
+
+    repo = pathlib.Path(__file__).parents[1]
+    src = str(pathlib.Path(ppir.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, str(repo / "scripts" / name), *args],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)

@@ -1,12 +1,15 @@
 import hashlib
 import json
 import pathlib
+import random
 import re
 import runpy
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_world
 from ppir import audit
@@ -24,20 +27,27 @@ from ppir.audit import (
     exact_audit_work,
 )
 from ppir.errors import EnumerationCapError, ParameterError
-from ppir.model import InstanceParams, build_layout, random_store, sample_side_info
+from ppir.model import (
+    POOL_LIMIT,
+    InstanceParams,
+    build_layout,
+    random_store,
+    sample_side_info,
+    sample_side_positions,
+)
 from ppir.protocol import Answer, Query, usi_answer, usi_choice_space, usi_query
 from ppir.wire import canonical_bytes, query_from_json, query_to_json
 
 
 class ReferenceServer(UsiServer):
-    """Honest server without the memo: one usi_answer per call."""
+    """Honest answers from an override, so the audits ask it on every triple and trial."""
 
     def answer_for(self, query, store, choice, v=None, side=None):
         return usi_answer(query, store, selections=choice)
 
 
 class LeakyServer(UsiServer):
-    """Memoized honest answer, then v tagged into the extras."""
+    """The honest answer from UsiServer.answer_for, then v tagged into the extras."""
 
     name = "leaky-after-memo"
 
@@ -182,6 +192,37 @@ def test_draw_path_verdicts_match_the_recorded_digests(case):
     assert verdict.effort["distinct_draws"] == DRAW_PATH_DISTINCT[class_sizes]
 
 
+@st.composite
+def side_profile(draw):
+    # class sizes on both sides of POOL_LIMIT, with k = 0 and k = mu - 1 among the counts
+    sizes = draw(
+        st.lists(
+            st.one_of(st.sampled_from((2, 3, POOL_LIMIT, POOL_LIMIT + 1, 25)), st.integers(2, 30)),
+            min_size=2, max_size=3,
+        )
+    )
+    counts = [draw(st.one_of(st.sampled_from((0, mu - 1)), st.integers(0, mu - 1))) for mu in sizes]
+    return sizes, counts
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), profile=side_profile(), n_b=st.integers(1, 60))
+@example(seed=0, profile=([10, 10], [1, 0]), n_b=625)
+@example(seed=1, profile=([4, 3], [3, 2]), n_b=60)  # pool draws in another order pick the same set
+@example(seed=2, profile=([22, 5], [0, 4]), n_b=40)  # a class above the limit that draws nothing
+@example(seed=3, profile=([25, 3], [2, 1]), n_b=40)  # Random.sample's own branch: per trial
+@example(seed=4, profile=([21, 21], [20, 0]), n_b=10)
+def test_block_tally_is_the_per_trial_tally(seed, profile, n_b):
+    sizes, counts = profile
+    layout = build_layout(InstanceParams(sizes, counts), 0)
+    ours, ref = random.Random(seed), random.Random(seed)
+    tally, draws = audit._draw_block(layout, ours, n_b)
+    want = [(ref.randrange(len(sizes)), sample_side_positions(layout, ref)) for _ in range(n_b)]
+    assert list(tally.items()) == list(Counter(want).items())
+    assert list(draws) == want
+    assert ours.getstate() == ref.getstate()
+
+
 def test_honest_batch_builds_each_answer_once(monkeypatch):
     params, layout, store, _, _ = make_world((4, 5, 5), (1, 0, 1), seed=20)
     builds = []
@@ -276,8 +317,8 @@ def test_server_reused_across_stores():
 
 
 def test_leak_added_after_memo_still_fails():
-    # guards the memo staying inside the honest server: a subclass that
-    # reuses the honest answer and then leaks v must still be caught
+    # a subclass that builds on the honest answer_for and then leaks v is an
+    # override, so the audit asks it with v and S and must catch it
     params, layout, store, _, _ = make_world((4, 2), (0, 1), seed=3)
     verdict = audit_exact(store, server=LeakyServer())
     assert not verdict.passed and verdict.answer_tv_distance == 1
@@ -425,3 +466,10 @@ def test_privacy_sweep_ends_with_a_summary_line(monkeypatch, capsys, cap, audite
         rf"summary: {audited} audited, {skipped} skipped, 3 mutants caught, audit \d+\.\d\ds",
         lines[-1],
     )
+
+
+def test_privacy_sweep_exits_141_quietly_on_a_closed_pipe():
+    from conftest import run_script_into_closed_pipe
+
+    proc = run_script_into_closed_pipe("privacy_sweep.py", "--max-class-size", "2")
+    assert (proc.returncode, proc.stderr) == (141, b"")

@@ -600,6 +600,33 @@ def test_replay_command_rejects_non_integer_symbols(tmp_path, capsys, document, 
     assert "integer symbols only" in err and "Traceback" not in err
 
 
+def test_replay_command_rejects_query_counts_that_contradict_the_side(tmp_path, capsys):
+    # the usi decode never read the query's counts: this decoded with exit 0
+    from conftest import make_world
+    from ppir.protocol import usi_answer, usi_query
+    from ppir.wire import answer_to_json, query_to_json, side_to_json
+
+    params, layout, store, side, values = make_world((3, 3), (1, 1), msg_len=2, q=5, seed=2)
+    query = usi_query(0, side)
+    doc = query_to_json(query)
+    assert doc["side_counts"] == [1, 1]
+    doc["side_counts"] = [0, 1]
+    (tmp_path / "q.json").write_text(json.dumps(doc))
+    (tmp_path / "a.json").write_text(json.dumps(answer_to_json(usi_answer(query, store, 3))))
+    (tmp_path / "s.json").write_text(json.dumps(side_to_json(side, values)))
+    code, out, err = run_cli(
+        capsys,
+        "replay",
+        "--query", str(tmp_path / "q.json"),
+        "--answer", str(tmp_path / "a.json"),
+        "--side", str(tmp_path / "s.json"),
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: query side_counts [0, 1] contradict the side document's per_class_counts [1, 1]\n"
+    )
+
+
 def _replay_with(tmp_path, capsys, mutate, class_sizes=(3, 3), side_counts=(1, 1), q=None):
     """Run replay on a seeded usi round whose answer document mutate() has changed."""
     from conftest import make_world

@@ -900,6 +900,16 @@ def test_converse_scan_ends_with_a_summary_line(monkeypatch, capsys):
     )
 
 
+def test_converse_scan_exits_141_quietly_on_a_closed_pipe():
+    # `converse_scan.py ... | head -1` used to end in a BrokenPipeError traceback, exit 1
+    from conftest import run_script_into_closed_pipe
+
+    proc = run_script_into_closed_pipe(
+        "converse_scan.py", "--max-messages", "3", "--fields", "2", "--budget", "50"
+    )
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
 def test_certificate_scheme_answer_case1():
     params, layout, store, side, _ = make_world((3, 3), (1, 1), seed=6)
     answer = usi_answer(usi_query(0, side), store, 7)

@@ -121,3 +121,11 @@ def test_rate_table_prints_one_row_per_grid_instance(monkeypatch, capsys):
         ["x".join(map(str, p.class_sizes)), "x".join(map(str, p.side_counts))] for p in grid
     ]
     assert rows[0] == "1x1,0x0,1/2,1/2,1/2,max-side-info|no-side-info|pir-si-equivalent"
+
+
+def test_rate_table_exits_141_quietly_on_a_closed_pipe():
+    # `rate_table.py ... | head -2` used to end in a BrokenPipeError traceback, exit 1
+    from conftest import run_script_into_closed_pipe
+
+    proc = run_script_into_closed_pipe("rate_table.py", "--num-classes", "2", "--max-class-size", "3")
+    assert (proc.returncode, proc.stderr) == (141, b"")
