@@ -6,6 +6,12 @@ fields represent elements as bit patterns (bit i is the coefficient of x^i),
 reduce by a canonical irreducible polynomial (the numerically smallest one of
 each degree), and multiply through log/exp tables.  Every result is fully
 reduced, so serialized symbols are bit-exact across runs.
+
+The tables are powers of a generator g, the first of 2, 3, ... whose order
+is q - 1; the order test needs only g^((q-1)/p) for each prime p dividing
+q - 1.  The powers are stepped in one pass through two byte-split tables of
+products with g.  g must stay the first primitive element: every symbol a
+binary field puts into a report goes through these tables.
 """
 
 from __future__ import annotations
@@ -81,6 +87,31 @@ def _poly_mul(a: int, b: int) -> int:
     return out
 
 
+def _poly_pow(a: int, e: int, mod: int) -> int:
+    out = 1
+    while e:
+        if e & 1:
+            out = _poly_mod(_poly_mul(out, a), mod)
+        a = _poly_mod(_poly_mul(a, a), mod)
+        e >>= 1
+    return out
+
+
+def _prime_factors(n: int) -> list:
+    """Distinct prime factors of n >= 1, by trial division."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def _is_irreducible(poly: int) -> bool:
     # trial division by every polynomial of degree 1..deg/2
     deg = poly.bit_length() - 1
@@ -134,25 +165,35 @@ class FiniteField:
             )
 
     def _build_tables(self):
+        """Fill _exp (i -> g^i) and _log (its inverse) for the first primitive g.
+
+        g is found by the order test, not by walking each candidate's powers.
+        Multiplication by g is linear over GF(2), so x*g is the XOR of the
+        products of x's low byte and high byte with g: two tables of at most
+        256 entries each make every step of the power walk two lookups.
+        """
         q, mod = self.q, self.modulus
+        n = q - 1
+        primes = _prime_factors(n)
         for g in range(2, q):
-            exp = [0] * (q - 1)
-            x = 1
-            ok = True
-            for i in range(q - 1):
-                exp[i] = x
-                x = _poly_mod(_poly_mul(x, g), mod)
-                if x == 1 and i < q - 2:
-                    ok = False
-                    break
-            if ok and x == 1:
-                log = [0] * q
-                for i, v in enumerate(exp):
-                    log[v] = i
-                self._exp = exp
-                self._log = log
-                return
-        raise FieldConstructionError(f"no primitive element found for q={q}")
+            if all(_poly_pow(g, n // p, mod) != 1 for p in primes):
+                break
+        else:
+            raise FieldConstructionError(f"no primitive element found for q={q}")
+        lo = [_poly_mod(_poly_mul(a, g), mod) for a in range(min(q, 256))]
+        hi = [_poly_mod(_poly_mul(a << 8, g), mod) for a in range(max(q >> 8, 1))]
+        exp = [0] * n
+        log = [0] * q
+        x = 1
+        for i in range(n):
+            exp[i] = x
+            log[x] = i
+            x = lo[x & 255] ^ hi[x >> 8]
+        # log[1] != 0 means the walk met 1 again before step q - 1
+        if x != 1 or log[1] != 0:
+            raise FieldConstructionError(f"no primitive element found for q={q}")
+        self._exp = exp
+        self._log = log
 
     # scalar operations ----------------------------------------------------
 

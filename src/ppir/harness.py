@@ -628,6 +628,16 @@ def replay(query_path, answer_path, side_path, desired: int | None = None):
     query = query_from_json(_read_json(query_path))
     answer = answer_from_json(_read_json(answer_path))
     side, values = side_from_json(_read_json(side_path))
+    # an all-uncoded answer never combines the held rows, so check them here
+    q, msg_len = answer.q, answer.msg_len
+    for label, row in values.items():
+        if len(row) != msg_len:
+            raise WireFormatError(
+                f"side message {list(label)} has {len(row)} symbols, "
+                f"the answer's msg_len is {msg_len}"
+            )
+        if row and (min(row) < 0 or max(row) >= q):
+            raise WireFormatError(f"side message {list(label)} has a symbol outside [0, {q})")
     if query.scheme == "fsi":
         if desired is None:
             raise ParameterError("fsi replay needs the desired class")

@@ -79,24 +79,29 @@ def query_to_json(query: Query) -> dict:
 
 
 def query_from_json(doc: dict) -> Query:
+    """Parse a query; a usi query asks for demand 1, a musi query for 1 or more."""
     _expect(doc, QUERY_FORMAT)
     scheme = doc.get("scheme")
+    if scheme not in ("usi", "musi", "fsi"):
+        raise WireFormatError(f"unknown scheme {scheme!r}")
     try:
-        if scheme in ("usi", "musi"):
-            return Query(
-                scheme=scheme,
-                side_counts=_ints(doc["side_counts"], "side_counts"),
-                demand=_int(doc["demand"], "demand"),
-            )
         if scheme == "fsi":
             return Query(
                 scheme="fsi",
                 picks=_ints(doc["picks"], "picks"),
                 known_count=_int(doc["known_count"], "known_count"),
             )
+        query = Query(
+            scheme=scheme,
+            side_counts=_ints(doc["side_counts"], "side_counts"),
+            demand=_int(doc["demand"], "demand"),
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise WireFormatError(f"malformed query document: {exc}") from exc
-    raise WireFormatError(f"unknown scheme {scheme!r}")
+    if query.demand < 1 or (scheme == "usi" and query.demand != 1):
+        need = "1" if scheme == "usi" else "at least 1"
+        raise WireFormatError(f"{scheme} query demand must be {need}, got {query.demand}")
+    return query
 
 
 # --- answer -------------------------------------------------------------------

@@ -627,19 +627,32 @@ def test_replay_command_rejects_query_counts_that_contradict_the_side(tmp_path, 
     )
 
 
-def _replay_with(tmp_path, capsys, mutate, class_sizes=(3, 3), side_counts=(1, 1), q=None):
-    """Run replay on a seeded usi round whose answer document mutate() has changed."""
+def _replay_with(
+    tmp_path, capsys, mutate, class_sizes=(3, 3), side_counts=(1, 1), q=None,
+    msg_len=1, mutate_query=None, mutate_side=None,
+):
+    """Run replay on a seeded usi round whose documents the mutate callables have changed.
+
+    mutate changes the answer document, mutate_query and mutate_side (when
+    given) the query and side documents.
+    """
     from conftest import make_world
     from ppir.protocol import usi_answer, usi_query
     from ppir.wire import answer_to_json, query_to_json, side_to_json
 
-    params, layout, store, side, values = make_world(class_sizes, side_counts, seed=2, q=q)
+    params, layout, store, side, values = make_world(
+        class_sizes, side_counts, msg_len=msg_len, seed=2, q=q
+    )
     query = usi_query(0, side)
-    doc = answer_to_json(usi_answer(query, store, 3))
-    mutate(doc)
-    (tmp_path / "q.json").write_text(json.dumps(query_to_json(query)))
-    (tmp_path / "a.json").write_text(json.dumps(doc))
-    (tmp_path / "s.json").write_text(json.dumps(side_to_json(side, values)))
+    docs = {
+        "q.json": (query_to_json(query), mutate_query),
+        "a.json": (answer_to_json(usi_answer(query, store, 3)), mutate),
+        "s.json": (side_to_json(side, values), mutate_side),
+    }
+    for name, (doc, change) in docs.items():
+        if change is not None:
+            change(doc)
+        (tmp_path / name).write_text(json.dumps(doc))
     return run_cli(
         capsys,
         "replay",
@@ -684,6 +697,41 @@ def test_replay_command_rejects_an_answer_q_that_is_no_field_order(tmp_path, cap
     code, out, err = _replay_with(tmp_path, capsys, mutate, (5, 5), (1, 1), q=2)
     assert code == 2 and out == ""
     assert err == "error: answer header q: q=6 is neither prime nor a power of two\n"
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ([999, 7, 1234], "side message [0, 4293759542] has 3 symbols, the answer's msg_len is 2"),
+        ([3], "side message [0, 4293759542] has 1 symbols, the answer's msg_len is 2"),
+        ([3, 5], "side message [0, 4293759542] has a symbol outside [0, 5)"),
+        ([-1, 4], "side message [0, 4293759542] has a symbol outside [0, 5)"),
+    ],
+    ids=["long", "short", "at-q", "negative"],
+)
+def test_replay_command_rejects_side_messages_off_the_answer_header(tmp_path, capsys, row, message):
+    # the answer to (4, 4)/(1, 0) is all uncoded, so the held row was never read:
+    # a side row [999, 7, 1234] replayed with exit 0
+    def mutate(doc):
+        assert [p["mode"] for p in doc["payloads"]] == ["uncoded", "uncoded"]
+
+    def mutate_side(doc):
+        assert doc["labels"] == [[0, 4293759542]] and doc["messages"] == [[3, 4]]
+        doc["messages"][0] = row
+
+    code, out, err = _replay_with(
+        tmp_path, capsys, mutate, (4, 4), (1, 0), q=5, msg_len=2, mutate_side=mutate_side
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_replay_command_rejects_a_query_demand_of_zero(tmp_path, capsys):
+    # a query document with "demand": 0 decoded with exit 0
+    def mutate_query(doc):
+        doc["demand"] = 0
+
+    code, out, err = _replay_with(tmp_path, capsys, lambda doc: None, mutate_query=mutate_query)
+    assert (code, out, err) == (2, "", "error: usi query demand must be 1, got 0\n")
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +7,8 @@ from hypothesis import given, strategies as st
 from ppir.errors import FieldConstructionError
 from ppir.fields import (
     PRIMALITY_LIMIT,
+    _poly_mod,
+    _poly_mul,
     canonical_modulus,
     is_prime,
     make_field,
@@ -32,6 +35,45 @@ def test_binary_field_canonical_modulus():
     assert f8.modulus == 0b1011
     assert canonical_modulus(4) == 0b10011
     assert f8.add(0b10, 0b10) == 0  # characteristic 2
+
+
+def _reference_tables(q, mod):
+    """The log/exp tables by walking each candidate's powers until one reaches q - 1."""
+    for g in range(2, q):
+        exp = []
+        x = 1
+        while not exp or x != 1:
+            exp.append(x)
+            x = _poly_mod(_poly_mul(x, g), mod)
+        if len(exp) == q - 1:
+            log = [0] * q
+            for i, v in enumerate(exp):
+                log[v] = i
+            return exp, log
+    raise AssertionError(f"no primitive element for q={q}")
+
+
+@pytest.mark.parametrize("m", range(2, 17))
+def test_binary_tables_match_the_power_walk(m):
+    # every binary-field symbol in a report goes through these tables
+    q = 1 << m
+    f = make_field(q)
+    assert (f._exp, f._log) == _reference_tables(q, f.modulus)
+    assert sorted(f._exp) == list(range(1, q))
+    assert all(f._log[v] == i for i, v in enumerate(f._exp))
+
+
+def test_binary_generator_is_the_first_primitive_element():
+    assert (canonical_modulus(8), make_field(256)._exp[1]) == (0x11B, 3)
+    assert (canonical_modulus(16), make_field(65536)._exp[1]) == (0x1002B, 3)
+
+
+def test_binary_mul_matches_polynomial_product():
+    f = make_field(65536)
+    rng = random.Random(7)
+    for _ in range(300):
+        a, b = rng.randrange(65536), rng.randrange(65536)
+        assert f.mul(a, b) == _poly_mod(_poly_mul(a, b), f.modulus)
 
 
 def test_non_prime_power_rejected():

@@ -9,6 +9,7 @@ from ppir.errors import EnumerationCapError, FieldConstructionError, ParameterEr
 from ppir.model import (
     DEFAULT_IDENTIFIER_RANGE,
     InstanceParams,
+    MessageStore,
     build_layout,
     enumerate_side_info_sets,
     held_messages,
@@ -118,6 +119,22 @@ def test_store_determinism_and_distinctness():
     layout = build_layout(p, 0)
     assert random_store(layout, 1) == random_store(layout, 1)
     assert random_store(layout, 1) != random_store(layout, 2)
+
+
+@pytest.mark.parametrize("msg_len", [1, 20])
+def test_store_refuses_rows_off_the_shape_or_the_field(msg_len):
+    p = InstanceParams((3, 3), (1, 1), msg_len=msg_len, q=5)
+    layout = build_layout(p, 0)
+    rows = random_store(layout, 1).messages
+    assert MessageStore(layout, rows).messages == rows
+    for bad, message in (
+        (rows[0] + (0,), "msg_len symbols"),
+        (rows[0][1:], "msg_len symbols"),
+        (rows[0][:-1] + (-1,), r"\[0, q\)"),
+        ((5,) + rows[0][1:], r"\[0, q\)"),
+    ):
+        with pytest.raises(ParameterError, match=message):
+            MessageStore(layout, rows[:4] + (bad,) + rows[5:])
 
 
 def test_store_symbol_frequencies():

@@ -30,6 +30,20 @@ def test_query_round_trip_usi():
     assert back == query
 
 
+def test_query_demand_must_be_one_usi_query_writes():
+    # usi_query writes "usi" at demand 1 and "musi" at demand 2 or more;
+    # demand 0 or -3, or a "usi" query at demand 2, used to read back
+    _, _, _, side, _ = make_world((3, 3), (1, 1))
+    doc = query_to_json(usi_query(0, side))
+    for scheme, demand in (("usi", 0), ("usi", -3), ("usi", 2), ("musi", 0), ("musi", -3)):
+        bad = dict(doc, scheme=scheme, demand=demand)
+        with pytest.raises(WireFormatError, match=f"^{scheme} query demand must be"):
+            query_from_json(bad)
+    assert query_from_json(dict(doc, scheme="musi", demand=1)).demand == 1
+    musi = query_to_json(usi_query(0, side, demand=2))
+    assert (musi["scheme"], query_from_json(musi).demand) == ("musi", 2)
+
+
 def test_query_round_trip_fsi_drops_flags():
     params, layout, store, side, _ = make_world((2, 2), (1, 1), q=7)
     pos_side = positional_side_info(layout, side)
